@@ -12,7 +12,6 @@ import math  # noqa: F401  (suite closures)
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -39,13 +38,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get(SEED_ENV_VAR, "0"))
-    except ValueError:
-        return 0
 
 
 def _fmt(x: float) -> str:
@@ -80,13 +72,6 @@ def _emit(rec: dict, path: str | None):
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -209,23 +194,17 @@ def cmd_volume(args) -> int:
 
 def cmd_sweep(args) -> int:
     rows: list[dict] = []
-    threads = args.threads
     if args.frustum:
         xs = np.linspace(0.0, 1.0, args.grid)
-
-        def frustum_row(x):
-            return {"x": float(x), "volume": oracle.frustum_volume(args.N, float(x))}
-
-        rows = _parallel_map(frustum_row, xs, threads)
+        rows = [{"x": float(x), "volume": oracle.frustum_volume(args.N, float(x))} for x in xs]
         columns = ["x", "volume"]
     elif args.ratio:
         lo = -1.0 / (args.n + 1) + 1e-6
         deltas = np.linspace(lo, 0.0, args.grid)
-
-        def ratio_row(d):
-            return {"delta": float(d), "ratio": irregular.central_vs_face_ratio(args.n, float(d))}
-
-        rows = _parallel_map(ratio_row, deltas, threads)
+        rows = [
+            {"delta": float(d), "ratio": irregular.central_vs_face_ratio(args.n, float(d))}
+            for d in deltas
+        ]
         columns = ["delta", "ratio"]
     elif args.maxbound:
         lo, hi, step = (float(t) for t in args.K_grid.split(":"))
@@ -299,7 +278,7 @@ def _check(name, fn):
     }
 
 
-def _suite_formulas(n_max: int, trials: int, seed: int, threads: int) -> list[dict]:
+def _suite_formulas(n_max: int, trials: int, seed: int) -> list[dict]:
     checks = []
 
     def specials():
@@ -401,7 +380,7 @@ def _suite_formulas(n_max: int, trials: int, seed: int, threads: int) -> list[di
     return checks
 
 
-def _suite_extremal(n_max: int, trials: int, seed: int, threads: int) -> list[dict]:
+def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
     checks = []
 
     def bound_validity():
@@ -483,7 +462,7 @@ def _suite_extremal(n_max: int, trials: int, seed: int, threads: int) -> list[di
     return checks
 
 
-def _suite_kdim(n_max: int, trials: int, seed: int, threads: int) -> list[dict]:
+def _suite_kdim(n_max: int, trials: int, seed: int) -> list[dict]:
     checks = []
     pairs = [(4, 3), (5, 3), (5, 4), (6, 4)]
     pairs = [(n, k) for n, k in pairs if n <= n_max]
@@ -505,7 +484,7 @@ def _suite_kdim(n_max: int, trials: int, seed: int, threads: int) -> list[dict]:
     return checks
 
 
-def _suite_irregular(n_max: int, trials: int, seed: int, threads: int) -> list[dict]:
+def _suite_irregular(n_max: int, trials: int, seed: int) -> list[dict]:
     checks = []
 
     def limits():
@@ -551,7 +530,7 @@ def cmd_verify(args) -> int:
                              "n_max": args.n_max}, not args.no_timestamp)
     all_checks = []
     for name in names:
-        checks = _SUITES[name](args.n_max, args.trials, args.seed, args.threads)
+        checks = _SUITES[name](args.n_max, args.trials, args.seed)
         for c in checks:
             c["suite"] = name
             status = "PASS" if c["passed"] else "FAIL"
@@ -629,6 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Section volumes of the regular simplex, three independent ways.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    # argparse converts a string default with `type`, so a malformed
+    # variable is a usage error (exit 2) unless --seed overrides it
+    seed_default = os.environ.get(SEED_ENV_VAR, "0")
 
     vol = sub.add_parser("volume", help="compute one section volume")
     vol.add_argument("--n", type=int)
@@ -640,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     vol.add_argument("--tol", type=float, default=1e-9)
     vol.add_argument("--eps", type=float, default=0.01, help="slab half-width for mc")
     vol.add_argument("--samples", type=int, default=10**6)
-    vol.add_argument("--seed", type=int, default=_default_seed())
+    vol.add_argument("--seed", type=int, default=seed_default)
     vol.add_argument("--exact-norm", action="store_true",
                      help="reject input whose norm deviates from 1 by more than 1e-9")
     vol.add_argument("--json", help="write the result record to this path")
@@ -657,10 +639,9 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--grid", type=int, default=1000)
     sw.add_argument("--K-grid", default="0:1:0.05")
     sw.add_argument("--samples-per-k", type=int, default=200)
-    sw.add_argument("--seed", type=int, default=_default_seed())
+    sw.add_argument("--seed", type=int, default=seed_default)
     sw.add_argument("--format", choices=["csv", "json"], default="csv")
     sw.add_argument("--out")
-    sw.add_argument("--threads", type=int, default=1)
     sw.add_argument("--no-timestamp", action="store_true")
     sw.set_defaults(func=cmd_sweep)
 
@@ -668,8 +649,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
     ver.add_argument("--n-max", type=int, default=7)
     ver.add_argument("--trials", type=int, default=1000)
-    ver.add_argument("--seed", type=int, default=_default_seed())
-    ver.add_argument("--threads", type=int, default=1)
+    ver.add_argument("--seed", type=int, default=seed_default)
     ver.add_argument("--out", help="write the JSON report to this path")
     ver.add_argument("--no-timestamp", action="store_true")
     ver.set_defaults(func=cmd_verify)

@@ -14,7 +14,9 @@ fixed K and for k-dimensional subspaces.
 """
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +25,6 @@ from .errors import DegenerateInput, EmptySection, OutOfRange
 from .subspaces import SubspaceBasis
 
 ZERO_REL = 1e-12   # |a_j| below this times max|a| counts as a zero coordinate
-TIE_REL = 1e-6     # positive coordinates closer than this times max|a| are tied
 CANON_TOL = 1e-12
 
 _METHODS = ("residue", "quadrature", "oracle", "monte-carlo", "closed-form")
@@ -182,91 +183,38 @@ def special_max_volume(n: int) -> float:
 # ---------------------------------------------------------------------------
 # residue sum
 
-def _direct_residue_sum(coords: list[float], ztol: float) -> tuple[float, float]:
-    """Residue sum over positive coordinates, assuming distinct positives.
+def _residue_sum(coords: list[float]) -> float:
+    """Residue sum over the positive coordinates, by the B-spline recurrence.
 
-    Returns (value, amplification); amplification = sum|terms| / |value| is
-    the cancellation factor that scales the rounding error.
+    The sum is the divided difference [t_0..t_n] x_+^(n-1) over the sorted
+    coordinates t, i.e. the Curry-Schoenberg B-spline with these knots,
+    evaluated at 0 and divided by n.  Order by order, b[i] holds
+    [t_i..t_(i+k)] x_+^(k-1) (the order-k B-spline at 0, divided by k) and
+    follows the de Boor-Cox recurrence.  Only the B-splines whose support
+    [t_i, t_(i+k)) contains 0 are nonzero, so every term is nonnegative,
+    every divisor spans 0, and coincident knots need no special case.
+
+    Rounding: the first order costs 2 roundings and each later order at
+    most 4 more along any path (product, sum, divisor, quotient).  All terms
+    are nonnegative, so relative errors add along the n-1 orders rather than
+    over the O(n^2) steps: the relative error is at most (4n-2)u.
     """
-    total = 0.0
-    abs_total = 0.0
-    for j, aj in enumerate(coords):
-        if aj <= ztol:
-            continue
-        t = 1.0 / aj
-        for k, ak in enumerate(coords):
-            if k == j or abs(ak) <= ztol:
-                continue
-            t *= aj / (aj - ak)
-        total += t
-        abs_total += abs(t)
-    amp = abs_total / abs(total) if total != 0.0 else abs_total
-    return total, amp
-
-
-def _tie_groups(coords: list[float], ztol: float, tie_tol: float):
-    """Cluster positive coordinate indices whose values nearly coincide."""
-    pos = sorted((c, j) for j, c in enumerate(coords) if c > ztol)
-    groups: list[list[tuple[float, int]]] = []
-    for item in pos:
-        if groups and item[0] - groups[-1][-1][0] < tie_tol:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    return groups
-
-
-def _residue_sum_with_err(coords: list[float]) -> tuple[float, float]:
-    """Tie-aware residue sum with an error estimate.
-
-    Distinct positive coordinates use the exact sum.  Near-coincident ones
-    hit a removable singularity with catastrophic cancellation, so the sum
-    is evaluated at symmetric perturbations +-eps and +-eps/2 of the tied
-    block and Richardson-extrapolated; eps shrinks with the tie-group size.
-    """
-    scale = max(abs(c) for c in coords)
-    ztol = ZERO_REL * scale
-    if not any(c > ztol for c in coords) or not any(c < -ztol for c in coords):
+    t = sorted(coords)
+    ztol = ZERO_REL * max(-t[0], t[-1])
+    t = [0.0 if abs(c) <= ztol else c for c in t]
+    if not t[0] < 0.0 < t[-1]:
         raise EmptySection(
             "all nonzero coordinates share one sign; the hyperplane meets the "
             "simplex in at most a face"
         )
-    groups = _tie_groups(coords, ztol, TIE_REL * scale)
-    gmax = max(len(g) for g in groups)
-    if gmax == 1:
-        value, amp = _direct_residue_sum(coords, ztol)
-        return value, 3e-16 * (amp + len(coords)) * abs(value)
-
-    # symmetric perturbation offsets, zero-sum inside each tied group
-    d = [0.0] * len(coords)
-    span = 0.0
-    for g in groups:
-        g_n = len(g)
-        for i, (_, j) in enumerate(g):
-            off = i - (g_n - 1) / 2.0
-            d[j] = off
-            span = max(span, abs(off))
-    centers = [g[0][0] for g in groups]
-    min_gap = min((b - a for a, b in zip(centers, centers[1:])), default=math.inf)
-    eps = {2: 1e-5, 3: 5e-4}.get(gmax, 3e-3) * scale
-    if math.isfinite(min_gap):
-        eps = min(eps, 0.2 * min_gap / max(2.0 * span, 1.0))
-    eps = min(eps, 0.3 * min(centers) / max(span, 1.0))
-
-    def evaluate(h: float) -> tuple[float, float]:
-        pert = [c + h * dj for c, dj in zip(coords, d)]
-        return _direct_residue_sum(pert, ztol)
-
-    v1p, a1 = evaluate(eps)
-    v1m, a2 = evaluate(-eps)
-    v2p, a3 = evaluate(eps / 2)
-    v2m, a4 = evaluate(-eps / 2)
-    s1 = 0.5 * (v1p + v1m)
-    s2 = 0.5 * (v2p + v2m)
-    value = (4.0 * s2 - s1) / 3.0
-    noise = 2e-16 * max(a1, a2, a3, a4) * abs(value)
-    err = 5.0 * abs(value - s2) + noise + 1e-15 * abs(value)
-    return value, err
+    n = len(t) - 1
+    m = bisect.bisect_right(t, 0.0) - 1  # t[m] <= 0 < t[m+1]
+    b = [0.0] * n
+    b[m] = 1.0 / (t[m + 1] - t[m])
+    for k in range(2, n + 1):
+        for i in range(max(0, m - k + 1), min(m, n - k) + 1):
+            b[i] = (t[i + k] * b[i + 1] - t[i] * b[i]) / (t[i + k] - t[i])
+    return b[0]
 
 
 def residue_functional(a: Direction) -> float:
@@ -274,8 +222,7 @@ def residue_functional(a: Direction) -> float:
 
     The section volume equals sqrt(n+1-K^2)/(n-1)! times this value.
     """
-    value, _ = _residue_sum_with_err([float(c) for c in a.a])
-    return value
+    return _residue_sum(a.a.tolist())
 
 
 def residue_volume(a: Direction) -> VolumeResult:
@@ -285,15 +232,22 @@ def residue_volume(a: Direction) -> VolumeResult:
     otherwise).  For coordinate sums with K^2 > 1 the value is the formula's
     analytic continuation; it is only validated against independent methods
     for K^2 < n+1.
+
+    err is an a-priori rounding bound for the given coordinates and K: the
+    residue sum contributes (4n-2)u (see _residue_sum) and, for
+    K^2 <= (n+1)/2, the prefactor and the final product at most 4u more
+    (K*K and n+1-K^2 give 2u, halved by the square root plus its own u, one
+    u for the division and one for the product), so err = 4(n+1)u * value.
     """
     n = a.n
     K = a.ksum
-    value, err = _residue_sum_with_err([float(c) for c in a.a])
+    value = _residue_sum(a.a.tolist())
     denom = n + 1.0 - K * K
     if denom <= 1e-12:
         raise DegenerateInput("coordinate sum too large: hyperplane parallel to the simplex")
-    pref = math.sqrt(denom) / math.factorial(n - 1)
-    return VolumeResult(value=pref * value, method="residue", err=pref * err)
+    volume = math.sqrt(denom) / math.factorial(n - 1) * value
+    u = sys.float_info.epsilon / 2.0
+    return VolumeResult(value=volume, method="residue", err=4.0 * (n + 1) * u * volume)
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def test_sweep_frustum_csv():
 
 
 def test_sweep_ratio_crosses_one():
-    proc = run_cli("sweep", "--ratio", "--n", "5", "--grid", "40", "--threads", "2")
+    proc = run_cli("sweep", "--ratio", "--n", "5", "--grid", "40")
     assert proc.returncode == 0
     lines = proc.stdout.strip().splitlines()[1:]
     ratios = [float(line.split(",")[1]) for line in lines]
@@ -193,6 +193,17 @@ def test_env_var_seed(tmp_path, monkeypatch):
     flag = run_cli(*argv, "--seed", "42")
     assert flag.returncode == 0, flag.stderr
     assert proc.stdout == flag.stdout
+
+
+def test_env_var_seed_malformed(monkeypatch):
+    argv = ("volume", "--n", "4", "--a", "0.7,0.1,-0.3,-0.4,-0.1",
+            "--methods", "mc", "--samples", "2000", "--no-timestamp")
+    monkeypatch.setenv("SIMPLEX_SECTIONS_SEED", "abc")
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert "argument --seed: invalid int value" in proc.stderr
+    # an explicit flag wins over the malformed variable
+    assert run_cli(*argv, "--seed", "5").returncode == 0
 
 
 def test_main_entry_direct():

@@ -1,4 +1,6 @@
+import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,25 +81,51 @@ def test_functional_two_coordinate_values():
     )
 
 
+def _exact_residue_sum(coords):
+    """[t_0..t_n] x_+^(n-1) in rationals, from the divided-difference table."""
+    t = sorted(Fraction(c) for c in coords)
+    p = len(t) - 2
+
+    @functools.cache
+    def dd(i, j):
+        if t[i] == t[j]:  # coincident knots: a Taylor coefficient of x_+^p
+            return math.comb(p, j - i) * t[i] ** (p - j + i) if t[i] > 0 else Fraction(0)
+        return (dd(i + 1, j) - dd(i, j - 1)) / (t[j] - t[i])
+
+    return dd(0, len(t) - 1)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [0.5, 0.5 + 5e-7, 0.5 + 1e-6, -0.3, -0.7, -0.5],
+        [0.3, 0.3 + 2e-6, 0.3 + 4e-6, 0.3 + 6e-6, -0.6, -0.6],
+        [1, 1, 1, -1, -1, -1],
+        [5e-324, 0.7, -0.7, 0],
+    ],
+    ids=["triple-tie", "quadruple-tie", "exact-tie", "subnormal"],
+)
+def test_residue_ties_match_exact_rationals(coords):
+    d = cf.Direction.make(coords)
+    n = d.n
+    exact = _exact_residue_sum(d.a)
+    assert abs(Fraction(cf.residue_functional(d)) - exact) <= Fraction(1e-13) * exact
+    # the volume is sqrt(q) with q rational: |v - sqrt(q)| <= e iff
+    # (v - e)^2 <= q <= (v + e)^2, so both checks stay exact
+    K = sum(Fraction(c) for c in d.a)
+    q = (n + 1 - K * K) * exact * exact / math.factorial(n - 1) ** 2
+    r = cf.residue_volume(d)
+    for e in (1e-13 * r.value, r.err):
+        lo, hi = Fraction(r.value) - Fraction(e), Fraction(r.value) + Fraction(e)
+        assert lo * lo <= q <= hi * hi, e
+
+
 def _vector_lists():
     return st.lists(
         st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
         min_size=4,
         max_size=9,
-    ).filter(
-        lambda v: np.linalg.norm(v) > 0.3
-        and max(v) > 0.05
-        and min(v) < -0.05
-        and _positives_spread(v)
-    )
-
-
-def _positives_spread(v):
-    # both sign blocks must be tie-free so sign flips stay on the exact path
-    for block in (sorted(x for x in v if x > 1e-3), sorted(-x for x in v if x < -1e-3)):
-        if any(b - a <= 1e-3 for a, b in zip(block, block[1:])):
-            return False
-    return True
+    ).filter(lambda v: np.linalg.norm(v) > 0.3 and max(v) > 0.05 and min(v) < -0.05)
 
 
 @settings(max_examples=60, deadline=None)

@@ -238,7 +238,6 @@ def test_frustum_matches_residue_on_grid():
         coords = np.array([x, 1 - x] + [-1.0 / N] * N)
         d = cf.Direction.make(coords / np.linalg.norm(coords))
         rv = cf.residue_volume(d)
-        # x = 1/2 runs the tied-coordinate extrapolation; allow its error
         tol = max(1e-11 * rv.value, 5 * rv.err)
         assert abs(oracle.frustum_volume(N, float(x)) - rv.value) <= tol
 
