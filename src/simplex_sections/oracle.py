@@ -2,9 +2,18 @@
 
 Independent of the analytic formulas: sections are realized as polytopes
 (edge intersections for hyperplanes, basic feasible solutions for general
-subspaces) and measured by recursive pyramid decomposition over the face
-lattice.  Facets are identified by the exact zero-coordinate labels carried
-from construction, never re-detected numerically.
+subspaces) and measured geometrically.
+
+A hyperplane section is the join of the face spanned by the vertices on the
+hyperplane with the crossing points v_ij of the edges from a positive vertex
+i to a negative vertex j.  The crossing points are a central projection, with
+positive denominator, of the Minkowski sum {v_i/phi_i} + {v_j/(-phi_j)}, so
+the staircase triangulation of the product of simplices (Gelfand, Kapranov &
+Zelevinsky, Discriminants, 7.3) carries over to them; the section is measured
+as the sum of its simplices, with one batched QR.  Sections of higher
+codimension are measured by recursive pyramid decomposition over the face
+lattice, whose facets are the exact zero-coordinate labels carried from
+construction, never re-detected numerically.
 """
 from __future__ import annotations
 
@@ -78,11 +87,16 @@ class SectionPolytope:
     vertex's zero set when the j-th simplex vertex does not support it.
     Facets of the section are exactly the label classes, which is what the
     volume recursion walks.
+
+    A hyperplane section also carries `simplices`, a triangulation of it
+    built from the crossing points before duplicates are merged, so thin
+    pieces that dedupe collapses still count in the volume.
     """
 
     dim: int
     vertices: np.ndarray  # (m, n+1) rows
     zero_sets: tuple[frozenset[int], ...]
+    simplices: np.ndarray | None = None  # (S, d+1, n+1): S simplices of d+1 vertices
 
     @property
     def vertex_count(self) -> int:
@@ -103,18 +117,36 @@ def _dedupe(points: list[np.ndarray], zsets: list[frozenset[int]]):
     return kept_pts, kept_zs
 
 
-def _build_polytope(points: list[np.ndarray], zsets: list[frozenset[int]]) -> SectionPolytope:
+def _build_polytope(
+    points: list[np.ndarray], zsets: list[frozenset[int]], simplices: np.ndarray | None = None
+) -> SectionPolytope:
     pts, zs = _dedupe(points, zsets)
     arr = np.array(pts)
     d = linalg.rank(arr - arr.mean(axis=0)) if len(pts) > 1 else 0
-    return SectionPolytope(dim=d, vertices=arr, zero_sets=tuple(zs))
+    return SectionPolytope(dim=d, vertices=arr, zero_sets=tuple(zs), simplices=simplices)
+
+
+def _staircase(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells (i, j) of every monotone lattice path from (0, 0) to (p-1, q-1).
+
+    Row s of both (C(p+q-2, p-1), p+q-1) arrays lists the cells of path s;
+    each path is one maximal simplex of the staircase triangulation of
+    Delta_{p-1} x Delta_{q-1}.
+    """
+    steps = p + q - 2
+    down = np.zeros((math.comb(steps, p - 1), steps + 1), dtype=np.intp)
+    for s, rows in enumerate(combinations(range(1, steps + 1), p - 1)):
+        down[s, list(rows)] = 1
+    i = np.cumsum(down, axis=1)
+    return i, np.arange(steps + 1) - i
 
 
 def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
     """Vertices of H_b intersected with the simplex.
 
     They are the crossings of H_b with edges whose endpoints evaluate to
-    opposite signs, plus any simplex vertices lying on H_b.
+    opposite signs, plus any simplex vertices lying on H_b.  The staircase
+    triangulation of the section is attached as `simplices`.
     """
     bvec = b.a if isinstance(b, Direction) else np.asarray(b, dtype=float)
     phi = bvec @ spec.vertices  # per-vertex values
@@ -127,22 +159,23 @@ def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
     neg = [j for j in range(spec.n + 1) if phi[j] < -tol]
 
     everything = frozenset(range(spec.n + 1))
-    points: list[np.ndarray] = []
-    zsets: list[frozenset[int]] = []
-    for j in on:
-        points.append(spec.vertices[:, j].copy())
-        zsets.append(everything - {j})
-    for i in pos:
-        for j in neg:
-            lam = -phi[j] / (phi[i] - phi[j])  # weight of vertex i, in (0,1)
-            points.append(lam * spec.vertices[:, i] + (1.0 - lam) * spec.vertices[:, j])
-            zsets.append(everything - {i, j})
+    vt = spec.vertices.T
+    lam = -phi[neg] / (phi[pos][:, None] - phi[neg])  # weight of vertex i, in (0,1)
+    crossing = lam[..., None] * vt[pos][:, None] + (1.0 - lam)[..., None] * vt[neg]
+    points = list(vt[on]) + list(crossing.reshape(-1, spec.n + 1))
+    zsets = [everything - {j} for j in on] + [everything - {i, j} for i in pos for j in neg]
 
     if not points:
         raise EmptySection("normal is one-signed on all vertices and touches none")
     if len(points) == 1:
         raise PointSection(points[0])
-    return _build_polytope(points, zsets)
+    if pos and neg:
+        i, j = _staircase(len(pos), len(neg))
+        cells = crossing[i, j]
+    else:  # no crossings: the section is the face spanned by the on-vertices
+        cells = np.empty((1, 0, spec.n + 1))
+    apexes = np.broadcast_to(vt[on], (cells.shape[0], len(on), spec.n + 1))
+    return _build_polytope(points, zsets, np.concatenate([cells, apexes], axis=1))
 
 
 def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPolytope:
@@ -184,18 +217,30 @@ def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPol
 
 
 def polytope_volume(poly: SectionPolytope) -> VolumeResult:
-    """Intrinsic volume by recursive pyramid decomposition.
+    """Intrinsic volume, summed over the triangulation or by pyramid recursion.
 
-    Facet j = vertices whose zero set contains j, kept when that subset has
-    rank dim-1; the apex is the vertex centroid, so every height is
-    nonnegative and no signed-volume bookkeeping is needed.  The recursion
-    bottoms out at segment length; a dim-0 polytope counts as 1 by the
-    point-measure convention.
+    With `simplices` attached and of the polytope's dimension d, the volume
+    is sum_s |prod diag R_s| / d!, where R_s comes from the QR factorization
+    of simplex s's edge matrix (one batched call).  Otherwise (k-dim
+    sections, and hyperplane sections thinner than VERTEX_DEDUP_TOL, whose
+    deduped rank is below d) it recurses over pyramids: facet j = vertices
+    whose zero set contains j, kept when that subset has rank dim-1; the
+    apex is the vertex centroid, so every height is nonnegative and no
+    signed-volume bookkeeping is needed.  The recursion bottoms out at
+    segment length; a dim-0 polytope counts as 1 by the point-measure
+    convention.
     """
     if poly.vertex_count == 0:
         raise EmptySection("empty polytope")
     if poly.dim == 0:
         return VolumeResult(value=1.0, method="oracle", err=0.0)
+    simp = poly.simplices
+    if simp is not None and simp.shape[1] == poly.dim + 1:
+        edges = (simp[:, 1:] - simp[:, :1]).transpose(0, 2, 1)  # (S, n+1, d)
+        r = np.linalg.qr(edges, mode="r")
+        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        value = float(np.prod(diag, axis=1).sum()) / math.factorial(poly.dim)
+        return VolumeResult(value=value, method="oracle", err=1e-13 * value * poly.dim)
     verts = poly.vertices
     zsets = poly.zero_sets
     cache: dict[tuple[int, ...], float] = {}
@@ -298,13 +343,14 @@ def monte_carlo_slab_volume(
     hits = 0
     done = 0
     batch = 200_000
-    vt = spec.vertices.T
+    # with spacings lam of the sorted uniforms u, sum_k lam_k phi_k equals
+    # u . (phi[:-1] - phi[1:]) + phi[-1], so the spacings are never formed
+    phi = bvec @ spec.vertices
+    step = phi[:-1] - phi[1:]
     while done < samples:
         m = min(batch, samples - done)
         u = np.sort(rng.random((m, n)), axis=1)
-        lam = np.diff(u, axis=1, prepend=0.0, append=1.0)
-        x = lam if spec.is_regular else lam @ vt
-        hits += int(np.count_nonzero(np.abs(x @ bvec) <= eps))
+        hits += int(np.count_nonzero(np.abs(u @ step + phi[-1]) <= eps))
         done += m
     if hits == 0:
         raise ZeroHits("no sample landed in the slab")

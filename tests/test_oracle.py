@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from test_closed_form import _exact_residue_sum
 
 from simplex_sections import closed_form as cf
-from simplex_sections import linalg, oracle, subspaces
+from simplex_sections import irregular, linalg, oracle, subspaces
 from simplex_sections.errors import (
     EmptySection,
     NotSupported,
@@ -168,6 +171,70 @@ def test_oracle_agrees_with_residue():
             assert ov.value == pytest.approx(rv.value, rel=1e-9)
 
 
+def _triangulated_and_pyramid(spec, b):
+    poly = oracle.hyperplane_section_vertices(spec, b)
+    assert poly.simplices.shape[1] == poly.dim + 1  # the triangulation is used
+    tri = oracle.polytope_volume(poly).value
+    pyr = oracle.polytope_volume(dataclasses.replace(poly, simplices=None)).value
+    return tri, pyr
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_triangulation_matches_pyramid_random(n):
+    rng = np.random.default_rng(40 + n)
+    spec = oracle.regular_simplex(n)
+    for _ in range(6):
+        a = cf.random_direction_fixed_sum(n, float(rng.uniform(0, 0.9)), rng)
+        tri, pyr = _triangulated_and_pyramid(spec, a)
+        assert tri == pytest.approx(pyr, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [0.6, 0.0, -0.2, -0.5, 0.1, -0.3],
+        [0.7, 0.0, 0.0, -0.4, 0.2, -0.5],
+        [1.0, 0.0, 0.0, 0.0, -1.0],
+        [0.0, 0.0, 1.0, 1.0],  # no crossings: the section is the edge e_1 e_2
+    ],
+)
+def test_triangulation_matches_pyramid_exact_zero(coords):
+    spec = oracle.regular_simplex(len(coords) - 1)
+    tri, pyr = _triangulated_and_pyramid(spec, np.array(coords))
+    assert tri == pytest.approx(pyr, rel=1e-12)
+
+
+def test_triangulation_matches_pyramid_irregular():
+    sim = irregular.compressed_simplex(5, -0.1)
+    b = sim.half_split_vector() + np.array([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])
+    tri, pyr = _triangulated_and_pyramid(sim.spec(), b)
+    assert tri == pytest.approx(pyr, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [0.5, 1e-12, 0.3, -0.4, -0.6],
+        [0.6, 1e-12, -0.2, -0.5, 0.1, -0.3],
+        [0.502, 0.337, 0.226, -0.764, -2.86e-11],
+        [0.848, 0.34, -0.272, -0.257, -0.161, 2.49e-11],
+    ],
+    ids=["tiny-positive-5", "tiny-positive-6", "tiny-negative", "tiny-positive-thin"],
+)
+def test_oracle_matches_exact_rationals_near_zero(coords):
+    d = cf.Direction.make(coords, canonicalize=False)
+    n = d.n
+    res = oracle.polytope_volume(oracle.hyperplane_section_vertices(oracle.regular_simplex(n), d))
+    # the volume is sqrt(q), q rational for any (not only unit) normal a:
+    # q = ((n+1)|a|^2 - K^2) F(a)^2 / (n-1)!^2, F the residue sum
+    a = [Fraction(c) for c in d.a]
+    K = sum(a)
+    q = ((n + 1) * sum(c * c for c in a) - K * K) * _exact_residue_sum(d.a) ** 2
+    q /= math.factorial(n - 1) ** 2
+    lo, hi = Fraction(res.value) - Fraction(res.err), Fraction(res.value) + Fraction(res.err)
+    assert lo * lo <= q <= hi * hi
+
+
 # --- parallel-slice structure (two positive, equal negative coordinates) -------
 
 def _two_block_direction(a1, a2, N):
@@ -295,6 +362,28 @@ def test_slab_matches_residue_random():
         oracle.regular_simplex(5), a, eps=0.01, samples=400_000, seed=6
     )
     assert abs(res.value - cf.residue_volume(a).value) <= 3 * res.err
+
+
+def _slab_reference(spec, b, eps, samples, seed):
+    """The slab estimate with the spacings formed: sort, diff, map, dot."""
+    u = np.sort(np.random.default_rng(seed).random((samples, spec.n)), axis=1)
+    lam = np.diff(u, axis=1, prepend=0.0, append=1.0)
+    p = np.count_nonzero(np.abs(lam @ spec.vertices.T @ b) <= eps) / samples
+    b_par = math.sqrt(b @ b - b.sum() ** 2 / (spec.n + 1.0))
+    return p * (oracle.simplex_volume(spec) * b_par / (2.0 * eps))
+
+
+@pytest.mark.parametrize(
+    "spec, b",
+    [
+        (oracle.regular_simplex(6), np.array([0.5, 0.3, -0.1, 0.2, -0.6, -0.4, 0.1])),
+        (irregular.compressed_simplex(5, -0.1).spec(), np.array([0.6, -0.2, 0.3, -0.5, 0.1, -0.2])),
+    ],
+    ids=["regular", "general"],
+)
+def test_slab_matches_spacing_reference(spec, b):
+    got = oracle.monte_carlo_slab_volume(spec, b, eps=0.01, samples=100_000, seed=11)
+    assert got.value == _slab_reference(spec, b, 0.01, 100_000, 11)
 
 
 def test_slab_zero_hits():
