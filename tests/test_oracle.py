@@ -9,6 +9,7 @@ from test_closed_form import _exact_residue_sum
 from simplex_sections import closed_form as cf
 from simplex_sections import irregular, linalg, oracle, subspaces
 from simplex_sections.errors import (
+    DegeneratePolytope,
     EmptySection,
     NotSupported,
     OutOfRange,
@@ -135,6 +136,17 @@ def test_segment_volume():
         spec, subspaces.complement_of_span([np.eye(5)[0], np.eye(5)[1]])
     )
     assert oracle.polytope_volume(poly).value == pytest.approx(math.sqrt(2), rel=1e-14)
+
+
+def test_segment_with_three_collinear_vertices_is_degenerate():
+    # a 1-dim face must have two vertices; a third on the same line is refused
+    poly = oracle.SectionPolytope(
+        dim=1,
+        vertices=np.array([[1.0, 0, 0], [0.5, 0.5, 0], [0, 1.0, 0]]),
+        zero_sets=(frozenset({1, 2}), frozenset({2}), frozenset({0, 2})),
+    )
+    with pytest.raises(DegeneratePolytope, match="1-dim face with 3 vertices"):
+        oracle.polytope_volume(poly)
 
 
 def test_half_half_square_volume():

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from simplex_sections import closed_form as cf
 from simplex_sections import oracle, quadrature, subspaces
-from simplex_sections.errors import EmptySection, NotSupported, OutOfRange
+from simplex_sections.errors import EmptySection, NotSupported, OutOfRange, TolUnreachable
 
 
 def test_hyperplane_matches_special_max():
@@ -69,11 +70,7 @@ def test_kdim_delegates_codim1():
 
 def test_kdim_codim2_separable_case():
     # H = orthogonal complement of span{e1-e2, e3-e4}: a 3-dim section of S^5
-    rows = [
-        np.array([1, -1, 0, 0, 0, 0]) / math.sqrt(2),
-        np.array([0, 0, 1, -1, 0, 0]) / math.sqrt(2),
-    ]
-    basis = subspaces.basis_from_rows(rows)
+    basis = _separable_basis()
     res = quadrature.kdim_volume_quadrature(basis, 1e-6)
     poly = oracle.kdim_section_vertices(oracle.regular_simplex(5), basis)
     want = oracle.polytope_volume(poly).value
@@ -102,6 +99,97 @@ def test_kdim_codim2_random_vs_oracle():
         res = quadrature.kdim_volume_quadrature(basis, 1e-6)
         want = oracle.polytope_volume(oracle.kdim_section_vertices(spec, basis)).value
         assert res.value == pytest.approx(want, rel=1e-5)
+
+
+def _reference_square_volume(basis, tol):
+    """The per-cell square quadrature with its 1e-3 -> target restart.
+
+    Each cell costs two separate tensor-rule calls and the second pass
+    lays the grid again and replays the first; kept as the reference for
+    the batched, resumed refinement.
+    """
+
+    def tensor_rule(f, x0, x1, y0, y1, order):
+        xn, xw = quadrature._gl(order)
+        midx, halfx = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
+        midy, halfy = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
+        gx, gy = np.meshgrid(midx + halfx * xn, midy + halfy * xn, indexing="ij")
+        vals = f(gx.ravel(), gy.ravel()).reshape(order, order)
+        return halfx * halfy * (xw @ vals @ xw)
+
+    def cell(f, a, b, c, d):
+        i7 = tensor_rule(f, a, b, c, d, 7)
+        i15 = tensor_rule(f, a, b, c, d, 15)
+        return i15, abs(i15 - i7)
+
+    def marks(limit):
+        pts, raw = [0.0], 1.0
+        while (m := float(np.arctan(raw))) < limit - 1e-9:
+            pts.append(m)
+            raw *= 2.0
+        return pts + [limit]
+
+    def run(f, tol_abs, max_cells=24000):
+        xs = marks(0.5 * math.pi)
+        ys = marks(0.5 * math.pi)
+        ybounds = sorted(set([-v for v in ys] + ys))
+        heap, counter, total, err_sum = [], 0, 0.0 + 0.0j, 0.0
+        for a, b in zip(xs, xs[1:]):
+            for c, d in zip(ybounds, ybounds[1:]):
+                val, err = cell(f, a, b, c, d)
+                total += val
+                err_sum += err
+                heapq.heappush(heap, (-err, counter, a, b, c, d, 0, val, err))
+                counter += 1
+        while err_sum > tol_abs and counter < max_cells:
+            _, _, a, b, c, d, depth, val, err = heapq.heappop(heap)
+            assert depth < quadrature.MAX_DEPTH
+            total -= val
+            err_sum -= err
+            mx, my = 0.5 * (a + b), 0.5 * (c + d)
+            for aa, bb in ((a, mx), (mx, b)):
+                for cc, dd in ((c, my), (my, d)):
+                    v2, e2 = cell(f, aa, bb, cc, dd)
+                    total += v2
+                    err_sum += e2
+                    heapq.heappush(heap, (-e2, counter, aa, bb, cc, dd, depth + 1, v2, e2))
+                    counter += 1
+        assert err_sum <= tol_abs
+        return total, err_sum
+
+    f = quadrature._compactified_integrand(np.asarray(basis.vectors, dtype=float))
+    val, err = run(f, 1e-3)
+    target = max(tol, 1e-10) * max(abs(val.real), 1e-6)
+    if target < 1e-3:
+        val, err = run(f, target)
+    pref, scale = quadrature._direct_prefactor(basis), 2.0 / (2.0 * math.pi) ** 2
+    return pref * val.real * scale, pref * err * scale
+
+
+def _separable_basis():
+    return subspaces.basis_from_rows([
+        np.array([1, -1, 0, 0, 0, 0]) / math.sqrt(2),
+        np.array([0, 0, 1, -1, 0, 0]) / math.sqrt(2),
+    ])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, "separable"])
+def test_kdim_codim2_matches_per_cell_reference(n):
+    if n == "separable":
+        basis = _separable_basis()
+    else:
+        basis = subspaces.random_subspace_through_centroid(n, n - 1, np.random.default_rng([7, 3]))
+    res = quadrature.kdim_volume_quadrature(basis, 1e-6)
+    want, want_err = _reference_square_volume(basis, 1e-6)
+    assert res.value == pytest.approx(want, rel=1e-13)
+    assert res.err == pytest.approx(want_err, rel=1e-8)
+
+
+def test_square_cell_budget_below_initial_grid():
+    f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
+    refine = quadrature._adaptive_square(f, 0.5 * math.pi, 0.5 * math.pi, max_cells=100)
+    with pytest.raises(TolUnreachable, match="cell budget exhausted"):
+        refine(1e-12)
 
 
 def test_kdim_rejects_codim3():
