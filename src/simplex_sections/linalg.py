@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RankDeficient, Singular
+from .errors import RankDeficient
 
 PIVOT_RTOL = 1e-10
 
@@ -67,25 +67,21 @@ def extend_to_orthonormal_basis(vectors, dim: int | None = None) -> list[np.ndar
     return basis
 
 
-def _pivoted_elimination(A: np.ndarray, b: np.ndarray | None):
-    """Row-reduce [A|b] in place with partial pivoting.
+def _pivoted_elimination(A: np.ndarray):
+    """Row-reduce A with partial pivoting.
 
-    Returns (U, y, sign, colscale) where U is upper triangular and y the
-    transformed right-hand side (None if b is None).
+    Returns (U, sign, colscale) where U is upper triangular.
     """
     U = np.array(A, dtype=float)
     if U.ndim != 2 or U.shape[0] != U.shape[1]:
         raise ValueError("square matrix required")
     m = U.shape[0]
-    y = None if b is None else np.array(b, dtype=float).ravel()
     colscale = float(np.max(np.abs(U))) if U.size else 0.0
     sign = 1.0
     for col in range(m):
         piv = col + int(np.argmax(np.abs(U[col:, col])))
         if piv != col:
             U[[col, piv]] = U[[piv, col]]
-            if y is not None:
-                y[[col, piv]] = y[[piv, col]]
             sign = -sign
         p = U[col, col]
         if p == 0.0:
@@ -94,34 +90,12 @@ def _pivoted_elimination(A: np.ndarray, b: np.ndarray | None):
         factors = U[rows, col] / p
         U[rows, col:] -= np.outer(factors, U[col, col:])
         U[rows, col] = 0.0
-        if y is not None:
-            y[rows] -= factors * y[col]
-    return U, y, sign, colscale
-
-
-def solve_small(A, b) -> np.ndarray:
-    """Solve a small square system by pivoted elimination.
-
-    Raises Singular when a pivot is below PIVOT_RTOL relative to the matrix
-    scale; the residual of the returned solution satisfies the usual
-    backward-stable bound for these sizes.
-    """
-    U, y, _, scale = _pivoted_elimination(A, b)
-    m = U.shape[0]
-    if scale == 0.0:
-        raise Singular("zero matrix")
-    x = np.zeros(m)
-    for col in range(m - 1, -1, -1):
-        p = U[col, col]
-        if abs(p) < PIVOT_RTOL * scale:
-            raise Singular(f"pivot {p:.3e} below threshold")
-        x[col] = (y[col] - U[col, col + 1:] @ x[col + 1:]) / p
-    return x
+    return U, sign, colscale
 
 
 def det(A) -> float:
     """Determinant via pivoted elimination.  Zero is a valid answer."""
-    U, _, sign, scale = _pivoted_elimination(A, None)
+    U, sign, scale = _pivoted_elimination(A)
     if scale == 0.0:
         return 0.0
     d = sign
@@ -139,16 +113,3 @@ def rank(points: np.ndarray, tol: float = 1e-8) -> int:
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.sum(s > tol * s[0]))
-
-
-def distance_to_affine(point: np.ndarray, points: np.ndarray) -> float:
-    """Distance from `point` to the affine hull of the rows of `points`."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    c0 = pts.mean(axis=0)
-    r = np.asarray(point, dtype=float) - c0
-    centered = pts - c0
-    u, s, vt = np.linalg.svd(centered, full_matrices=False)
-    if s.size and s[0] > 0.0:
-        keep = vt[s > 1e-12 * s[0]]
-        r = r - keep.T @ (keep @ r)
-    return float(np.linalg.norm(r))

@@ -11,9 +11,12 @@ positive denominator, of the Minkowski sum {v_i/phi_i} + {v_j/(-phi_j)}, so
 the staircase triangulation of the product of simplices (Gelfand, Kapranov &
 Zelevinsky, Discriminants, 7.3) carries over to them; the section is measured
 as the sum of its simplices, with one batched QR.  Sections of higher
-codimension are measured by recursive pyramid decomposition over the face
-lattice, whose facets are the exact zero-coordinate labels carried from
-construction, never re-detected numerically.
+codimension come from solving every support system in one stacked call and
+are measured over their pulling triangulation (De Loera, Rambau & Santos,
+Triangulations, 4.3), whose facets are the exact zero-coordinate labels
+carried from construction; a numeric rank test confirms a facet only where
+the labels are degenerate.  Both triangulations are measured by the same
+batched QR.
 """
 from __future__ import annotations
 
@@ -31,7 +34,6 @@ from .errors import (
     NotSupported,
     OutOfRange,
     PointSection,
-    Singular,
     ZeroHits,
 )
 from .subspaces import SubspaceBasis
@@ -86,7 +88,7 @@ class SectionPolytope:
     For a general simplex the labels are barycentric: index j is in a
     vertex's zero set when the j-th simplex vertex does not support it.
     Facets of the section are exactly the label classes, which is what the
-    volume recursion walks.
+    pulling triangulation walks.
 
     A hyperplane section also carries `simplices`, a triangulation of it
     built from the crossing points before duplicates are merged, so thin
@@ -103,7 +105,17 @@ class SectionPolytope:
         return self.vertices.shape[0]
 
 
-def _dedupe(points: list[np.ndarray], zsets: list[frozenset[int]]):
+def _dedupe(points: np.ndarray, zsets: list[frozenset[int]]):
+    """Merge each point into an earlier kept one within VERTEX_DEDUP_TOL.
+
+    One broadcast max-abs test over all pairs returns the inputs unchanged
+    when no two points are close; otherwise the first-come loop merges them
+    and unites their labels.
+    """
+    close = np.abs(points[:, None] - points[None]).max(axis=2) < VERTEX_DEDUP_TOL
+    np.fill_diagonal(close, False)
+    if not close.any():
+        return points, zsets
     kept_pts: list[np.ndarray] = []
     kept_zs: list[frozenset[int]] = []
     for p, z in zip(points, zsets):
@@ -114,15 +126,14 @@ def _dedupe(points: list[np.ndarray], zsets: list[frozenset[int]]):
         else:
             kept_pts.append(p)
             kept_zs.append(z)
-    return kept_pts, kept_zs
+    return np.array(kept_pts), kept_zs
 
 
 def _build_polytope(
-    points: list[np.ndarray], zsets: list[frozenset[int]], simplices: np.ndarray | None = None
+    points: np.ndarray, zsets: list[frozenset[int]], simplices: np.ndarray | None = None
 ) -> SectionPolytope:
-    pts, zs = _dedupe(points, zsets)
-    arr = np.array(pts)
-    d = linalg.rank(arr - arr.mean(axis=0)) if len(pts) > 1 else 0
+    arr, zs = _dedupe(points, zsets)
+    d = linalg.rank(arr - arr.mean(axis=0)) if len(arr) > 1 else 0
     return SectionPolytope(dim=d, vertices=arr, zero_sets=tuple(zs), simplices=simplices)
 
 
@@ -162,10 +173,10 @@ def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
     vt = spec.vertices.T
     lam = -phi[neg] / (phi[pos][:, None] - phi[neg])  # weight of vertex i, in (0,1)
     crossing = lam[..., None] * vt[pos][:, None] + (1.0 - lam)[..., None] * vt[neg]
-    points = list(vt[on]) + list(crossing.reshape(-1, spec.n + 1))
+    points = np.concatenate([vt[on], crossing.reshape(-1, spec.n + 1)])
     zsets = [everything - {j} for j in on] + [everything - {i, j} for i in pos for j in neg]
 
-    if not points:
+    if len(points) == 0:
         raise EmptySection("normal is one-signed on all vertices and touches none")
     if len(points) == 1:
         raise PointSection(points[0])
@@ -183,7 +194,9 @@ def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPol
 
     Basic feasible solutions of {lambda >= 0, sum lambda = 1, A V lambda = 0}:
     every support of size codim+1 contributes the solution of the square
-    system on that support when it is nonnegative.
+    system on that support when it is nonnegative.  All supports are solved
+    in one stacked call; a support whose system has singular values
+    s_min <= PIVOT_RTOL * s_max is skipped.
     """
     codim = basis.codim
     if codim > MAX_ENUM_CODIM or spec.n > MAX_ENUM_N:
@@ -193,89 +206,105 @@ def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPol
     if codim > spec.n - 1 + 1:
         raise OutOfRange("codimension exceeds the section dimension range")
     m_constraints = basis.vectors @ spec.vertices  # (codim, n+1) in barycentric terms
-    rhs = np.zeros(codim + 1)
+    supports = np.array(list(combinations(range(spec.n + 1), codim + 1)))  # (S, codim+1)
+    systems = np.concatenate(
+        [np.ones((len(supports), 1, codim + 1)), m_constraints[:, supports].transpose(1, 0, 2)],
+        axis=1,
+    )  # row 0: sum lambda = 1; rows 1..codim: A V lambda = 0
+    s = np.linalg.svd(systems, compute_uv=False)
+    regular = s[:, -1] > linalg.PIVOT_RTOL * s[:, 0]
+    supports = supports[regular]
+    rhs = np.zeros((codim + 1, 1))
     rhs[0] = 1.0
-
-    points: list[np.ndarray] = []
-    zsets: list[frozenset[int]] = []
-    for support in combinations(range(spec.n + 1), codim + 1):
-        sys_rows = np.vstack([np.ones(codim + 1), m_constraints[:, support]])
-        try:
-            sol = linalg.solve_small(sys_rows, rhs)
-        except Singular:
-            continue
-        if np.min(sol) < -1e-12:
-            continue
-        lam = np.zeros(spec.n + 1)
-        lam[list(support)] = np.clip(sol, 0.0, None)
-        points.append(spec.vertices @ lam)
-        zsets.append(frozenset(j for j in range(spec.n + 1) if lam[j] <= ZERO_COORD_TOL))
-
-    if not points:
+    sol = np.linalg.solve(systems[regular], rhs)[..., 0]
+    feasible = np.min(sol, axis=1) >= -1e-12
+    if not feasible.any():
         raise EmptySection("subspace misses the simplex")
-    return _build_polytope(points, zsets)
+    lam = np.zeros((int(feasible.sum()), spec.n + 1))
+    np.put_along_axis(lam, supports[feasible], np.clip(sol[feasible], 0.0, None), axis=1)
+    zsets = [frozenset(np.flatnonzero(row).tolist()) for row in lam <= ZERO_COORD_TOL]
+    return _build_polytope(lam @ spec.vertices.T, zsets)
+
+
+def _simplices_volume(simplices: np.ndarray) -> float:
+    """Total volume of an (S, d+1, n+1) stack of d-simplices.
+
+    sum_s |prod diag R_s| / d!, where R_s comes from the QR factorization of
+    simplex s's edge matrix; one batched call for the whole stack.
+    """
+    d = simplices.shape[1] - 1
+    edges = (simplices[:, 1:] - simplices[:, :1]).transpose(0, 2, 1)  # (S, n+1, d)
+    r = np.linalg.qr(edges, mode="r")
+    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
+    return float(np.prod(diag, axis=1).sum()) / math.factorial(d)
+
+
+def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
+    """(S, dim+1) vertex indices of the pulling triangulation of `poly`.
+
+    A face pulls its first vertex and is coned from it over its facets that
+    miss it, each triangulated the same way (De Loera, Rambau & Santos,
+    Triangulations, 4.3).  Facet j of a face is its vertices whose zero set
+    contains j.  When every vertex has exactly dim labels the section is
+    simple and every such proper, nonempty class is a facet; otherwise a
+    class is kept only when its affine rank is one below the face's.
+    """
+    labels = np.zeros((poly.vertex_count, poly.vertices.shape[1]), dtype=bool)
+    for i, zs in enumerate(poly.zero_sets):
+        labels[i, list(zs)] = True
+    simple = bool(np.all(labels.sum(axis=1) == poly.dim))
+    verts = poly.vertices
+    cache: dict[tuple[int, ...], np.ndarray] = {}
+
+    def triangulate(face: tuple[int, ...], d: int) -> np.ndarray:
+        if d == 1:
+            if len(face) != 2:
+                raise DegeneratePolytope(f"1-dim face with {len(face)} vertices")
+            return np.array([face])
+        if face in cache:
+            return cache[face]
+        idx = np.array(face)
+        on = labels[idx]
+        seen: set[tuple[int, ...]] = set()
+        cones = []
+        for j in np.flatnonzero(on.any(axis=0) & ~on.all(axis=0)):
+            sub = tuple(idx[on[:, j]].tolist())
+            if sub in seen or sub[0] == face[0]:  # seen, or holds the pulled vertex
+                continue
+            if not simple:
+                sub_pts = verts[list(sub)]
+                if len(sub) < d or linalg.rank(sub_pts - sub_pts.mean(axis=0)) != d - 1:
+                    continue
+            seen.add(sub)
+            cones.append(triangulate(sub, d - 1))
+        if not cones:
+            raise DegeneratePolytope("no proper facets found")
+        base = np.concatenate(cones)
+        cache[face] = np.concatenate([np.full((len(base), 1), face[0]), base], axis=1)
+        return cache[face]
+
+    return triangulate(tuple(range(poly.vertex_count)), poly.dim)
 
 
 def polytope_volume(poly: SectionPolytope) -> VolumeResult:
-    """Intrinsic volume, summed over the triangulation or by pyramid recursion.
+    """Intrinsic volume, summed over a triangulation in one batched QR.
 
-    With `simplices` attached and of the polytope's dimension d, the volume
-    is sum_s |prod diag R_s| / d!, where R_s comes from the QR factorization
-    of simplex s's edge matrix (one batched call).  Otherwise (k-dim
-    sections, and hyperplane sections thinner than VERTEX_DEDUP_TOL, whose
-    deduped rank is below d) it recurses over pyramids: facet j = vertices
-    whose zero set contains j, kept when that subset has rank dim-1; the
-    apex is the vertex centroid, so every height is nonnegative and no
-    signed-volume bookkeeping is needed.  The recursion bottoms out at
-    segment length; a dim-0 polytope counts as 1 by the point-measure
-    convention.
+    A hyperplane section's attached staircase triangulation is measured when
+    its dimension equals the polytope's d.  Otherwise (k-dim sections, and
+    hyperplane sections thinner than VERTEX_DEDUP_TOL, whose deduped rank is
+    below the staircase's) the pulling triangulation is read off the zero-set
+    labels.  Either way the volume is sum_s |prod diag R_s| / d!.  A dim-0
+    polytope counts as 1 by the point-measure convention.
     """
     if poly.vertex_count == 0:
         raise EmptySection("empty polytope")
     if poly.dim == 0:
         return VolumeResult(value=1.0, method="oracle", err=0.0)
     simp = poly.simplices
-    if simp is not None and simp.shape[1] == poly.dim + 1:
-        edges = (simp[:, 1:] - simp[:, :1]).transpose(0, 2, 1)  # (S, n+1, d)
-        r = np.linalg.qr(edges, mode="r")
-        diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-        value = float(np.prod(diag, axis=1).sum()) / math.factorial(poly.dim)
-        return VolumeResult(value=value, method="oracle", err=1e-13 * value * poly.dim)
-    verts = poly.vertices
-    zsets = poly.zero_sets
-    cache: dict[tuple[int, ...], float] = {}
-
-    def vol(idx: tuple[int, ...], d: int) -> float:
-        if d == 1:
-            if len(idx) != 2:
-                raise DegeneratePolytope(f"1-dim face with {len(idx)} vertices")
-            return float(np.linalg.norm(verts[idx[0]] - verts[idx[1]]))
-        if idx in cache:
-            return cache[idx]
-        pts = verts[list(idx)]
-        apex = pts.mean(axis=0)
-        label_pool = sorted(set().union(*(zsets[i] for i in idx)))
-        seen: set[tuple[int, ...]] = set()
-        total = 0.0
-        found = False
-        for j in label_pool:
-            sub = tuple(i for i in idx if j in zsets[i])
-            if len(sub) < d or sub in seen:
-                continue
-            sub_pts = verts[list(sub)]
-            if linalg.rank(sub_pts - sub_pts.mean(axis=0)) != d - 1:
-                continue
-            seen.add(sub)
-            height = linalg.distance_to_affine(apex, sub_pts)
-            total += height * vol(sub, d - 1)
-            found = True
-        if not found:
-            raise DegeneratePolytope("no proper facets found")
-        cache[idx] = total / d
-        return cache[idx]
-
-    value = vol(tuple(range(poly.vertex_count)), poly.dim)
-    return VolumeResult(value=value, method="oracle", err=1e-13 * value * max(1, poly.dim))
+    if simp is None or simp.shape[1] != poly.dim + 1:
+        simp = poly.vertices[_pulling_triangulation(poly)]
+    value = _simplices_volume(simp)
+    return VolumeResult(value=value, method="oracle", err=1e-13 * value * poly.dim)
 
 
 def frustum_volume(N: int, x: float) -> float:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from simplex_sections import linalg
-from simplex_sections.errors import RankDeficient, Singular
+from simplex_sections.errors import RankDeficient
 
 
 def test_gram_schmidt_axis_aligned():
@@ -41,32 +41,6 @@ def test_gram_schmidt_near_degenerate_reorthogonalization():
 def test_gram_schmidt_rank_deficient():
     with pytest.raises(RankDeficient):
         linalg.gram_schmidt([[1.0, 2.0], [2.0, 4.0]])
-
-
-def test_solve_identity():
-    b = np.array([3.0, -1.0, 2.0])
-    assert np.allclose(linalg.solve_small(np.eye(3), b), b)
-
-
-def test_solve_diagonal():
-    x = linalg.solve_small([[2.0, 0.0], [0.0, 4.0]], [2.0, 4.0])
-    assert np.allclose(x, [1.0, 1.0])
-
-
-def test_solve_residual_bound():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a = rng.standard_normal((5, 5))
-        b = rng.standard_normal(5)
-        x = linalg.solve_small(a, b)
-        resid = np.linalg.norm(a @ x - b)
-        bound = 1e-9 * (np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b))
-        assert resid <= bound
-
-
-def test_solve_singular():
-    with pytest.raises(Singular):
-        linalg.solve_small([[1.0, 2.0], [2.0, 4.0]], [1.0, 1.0])
 
 
 def _cofactor_det3(m):
@@ -118,11 +92,6 @@ def test_extend_to_orthonormal_basis():
     full = np.array(linalg.extend_to_orthonormal_basis(base, 6))
     assert full.shape == (6, 6)
     assert np.max(np.abs(full @ full.T - np.eye(6))) < 1e-11
-
-
-def test_distance_to_affine_plane():
-    pts = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])
-    assert linalg.distance_to_affine(np.array([0.3, 0.4, 3.0]), pts) == pytest.approx(2.0)
 
 
 def test_rank():

@@ -1,13 +1,14 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from test_closed_form import _exact_residue_sum
 
 from simplex_sections import closed_form as cf
-from simplex_sections import irregular, linalg, oracle, subspaces
+from simplex_sections import extremal, irregular, linalg, oracle, subspaces
 from simplex_sections.errors import (
     DegeneratePolytope,
     EmptySection,
@@ -128,6 +129,88 @@ def test_kdim_enumeration_limits():
         oracle.kdim_section_vertices(spec, subspaces.SubspaceBasis(n=5, vectors=np.array(rows)))
 
 
+def _pivoted_solve(a, b):
+    """Gaussian elimination with partial pivoting; None below the pivot threshold."""
+    u = np.array(a, dtype=float)
+    y = np.array(b, dtype=float)
+    m = len(y)
+    scale = float(np.max(np.abs(u)))
+    for col in range(m):
+        piv = col + int(np.argmax(np.abs(u[col:, col])))
+        u[[col, piv]], y[[col, piv]] = u[[piv, col]], y[[piv, col]]
+        if u[col, col] != 0.0:
+            f = u[col + 1:, col] / u[col, col]
+            u[col + 1:, col:] -= np.outer(f, u[col, col:])
+            y[col + 1:] -= f * y[col]
+    x = np.zeros(m)
+    for col in range(m - 1, -1, -1):
+        if abs(u[col, col]) < linalg.PIVOT_RTOL * scale:
+            return None
+        x[col] = (y[col] - u[col, col + 1:] @ x[col + 1:]) / u[col, col]
+    return x
+
+
+def _reference_enumeration(spec, basis):
+    """One support at a time, as a scalar loop, then the first-come dedupe."""
+    codim = basis.codim
+    cons = basis.vectors @ spec.vertices
+    rhs = np.zeros(codim + 1)
+    rhs[0] = 1.0
+    points, zsets, skipped = [], [], 0
+    for support in combinations(range(spec.n + 1), codim + 1):
+        sol = _pivoted_solve(np.vstack([np.ones(codim + 1), cons[:, support]]), rhs)
+        if sol is None:
+            skipped += 1
+            continue
+        if np.min(sol) < -1e-12:
+            continue
+        lam = np.zeros(spec.n + 1)
+        lam[list(support)] = np.clip(sol, 0.0, None)
+        p = spec.vertices @ lam
+        z = frozenset(j for j in range(spec.n + 1) if lam[j] <= oracle.ZERO_COORD_TOL)
+        for i, q in enumerate(points):
+            if np.max(np.abs(p - q)) < oracle.VERTEX_DEDUP_TOL:
+                zsets[i] = zsets[i] | z
+                break
+        else:
+            points.append(p)
+            zsets.append(z)
+    return np.array(points), zsets, skipped
+
+
+def _near_singular_basis():
+    # coordinates 0 and 1 agree to 1e-14 in both rows, so every support holding
+    # both has a near-singular system
+    rng = np.random.default_rng(9)
+    rows = rng.standard_normal((2, 7))
+    rows[:, 1] = rows[:, 0] + 1e-14
+    rows -= rows.mean(axis=1, keepdims=True)  # keep the centroid in H
+    return subspaces.basis_from_rows(rows)
+
+
+def _enumeration_cases():
+    rng = np.random.default_rng(17)
+    for n in range(3, 11):
+        for codim in range(1, min(4, n) + 1):
+            for _ in range(2):
+                yield subspaces.random_subspace_through_centroid(n, n + 1 - codim, rng)
+    for n, k in [(4, 3), (5, 3), (5, 4), (6, 4), (8, 5)]:
+        yield extremal.conjectured_kdim_maximizer(n, k)
+    for n, k in [(4, 2), (5, 3), (6, 4), (7, 5)]:
+        yield subspaces.complement_of_span([np.eye(n + 1)[i] for i in range(k)])
+
+
+def test_batched_enumeration_matches_per_support_loop():
+    near = _near_singular_basis()
+    assert _reference_enumeration(oracle.regular_simplex(near.n), near)[2] > 0
+    for basis in [*_enumeration_cases(), near]:
+        spec = oracle.regular_simplex(basis.n)
+        want_pts, want_zs, _ = _reference_enumeration(spec, basis)
+        poly = oracle.kdim_section_vertices(spec, basis)
+        assert list(poly.zero_sets) == want_zs
+        assert np.max(np.abs(poly.vertices - want_pts)) <= 1e-12
+
+
 # --- polytope volume -----------------------------------------------------------
 
 def test_segment_volume():
@@ -183,7 +266,43 @@ def test_oracle_agrees_with_residue():
             assert ov.value == pytest.approx(rv.value, rel=1e-9)
 
 
+def _relabelled(poly, perm):
+    return dataclasses.replace(
+        poly, vertices=poly.vertices[perm], zero_sets=tuple(poly.zero_sets[i] for i in perm)
+    )
+
+
+def test_kdim_volume_stable_under_vertex_order_and_rounding():
+    # the first draw at n = 12, codim 4 (149 vertices); a centroid-apex pyramid
+    # recursion was 3.4e-8 relative off here, and moved by 5e-8 under this
+    # 1e-15 relative jitter
+    spec = oracle.regular_simplex(12)
+    basis = subspaces.random_subspace_through_centroid(12, 9, np.random.default_rng([7, 12, 4]))
+    poly = oracle.kdim_section_vertices(spec, basis)
+    ref = oracle.polytope_volume(poly).value
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        moved = _relabelled(poly, rng.permutation(poly.vertex_count))
+        assert oracle.polytope_volume(moved).value == pytest.approx(ref, rel=1e-12, abs=0)
+    jitter = 1.0 + 1e-15 * rng.standard_normal(poly.vertices.shape)
+    shaken = dataclasses.replace(poly, vertices=poly.vertices * jitter)
+    assert oracle.polytope_volume(shaken).value == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+def test_pulling_refuses_label_classes_that_are_not_facets():
+    # the section of [1, 1, -1, 0] is the triangle e_3 v_02 v_12; label 2 marks
+    # only e_3, a vertex rather than an edge, so once e_3 is not pulled first
+    # the rank test must refuse that class
+    spec = oracle.regular_simplex(3)
+    poly = oracle.hyperplane_section_vertices(spec, np.array([1.0, 1.0, -1.0, 0.0]))
+    want = oracle.polytope_volume(poly).value
+    moved = dataclasses.replace(_relabelled(poly, [1, 2, 0]), simplices=None)
+    assert oracle.polytope_volume(moved).value == pytest.approx(want, rel=1e-12, abs=0)
+
+
 def _triangulated_and_pyramid(spec, b):
+    # staircase triangulation against the pulling triangulation of the same
+    # polytope, which polytope_volume uses once `simplices` is dropped
     poly = oracle.hyperplane_section_vertices(spec, b)
     assert poly.simplices.shape[1] == poly.dim + 1  # the triangulation is used
     tri = oracle.polytope_volume(poly).value
