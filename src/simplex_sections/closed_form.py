@@ -51,7 +51,7 @@ class VolumeResult:
 
 @dataclass(frozen=True)
 class Direction:
-    """A unit normal vector with cached norm and coordinate sum.
+    """A unit normal vector with cached coordinate sum.
 
     The canonical form (default on construction) has coordinate sum >= 0
     and coordinates sorted descending; permutations and a global sign flip
@@ -61,7 +61,6 @@ class Direction:
     """
 
     a: np.ndarray
-    norm: float
     ksum: float
 
     @staticmethod
@@ -69,9 +68,9 @@ class Direction:
         v = np.array(values, dtype=float).ravel()
         if v.size < 2:
             raise ValueError("need at least two coordinates")
-        if not np.all(np.isfinite(v)):
+        nrm = math.sqrt(v @ v)  # bit-identical to np.linalg.norm on 1-D input
+        if not math.isfinite(nrm) and not np.all(np.isfinite(v)):
             raise ValueError("coordinates must be finite")
-        nrm = float(np.linalg.norm(v))
         if nrm == 0.0:
             raise ValueError("zero vector")
         if not normalize and abs(nrm - 1.0) > 1e-9:
@@ -80,7 +79,7 @@ class Direction:
         if canonicalize:
             v = _canonical_coords(v)
         v.setflags(write=False)
-        return Direction(a=v, norm=float(np.linalg.norm(v)), ksum=float(v.sum()))
+        return Direction(a=v, ksum=float(v.sum()))
 
     @property
     def n(self) -> int:
@@ -102,20 +101,21 @@ class Direction:
 
 
 def _canonical_coords(v: np.ndarray) -> np.ndarray:
-    up = np.sort(v)[::-1]
-    down = np.sort(-v)[::-1]
+    asc = np.sort(v)
+    up = asc[::-1].copy()
     s = v.sum()
     if s > CANON_TOL:
-        return up.copy()
+        return up
+    down = -asc  # -v sorted descending
     if s < -CANON_TOL:
-        return down.copy()
+        return down
     # sum ~ 0: both signs are admissible, break the tie lexicographically
     for x, y in zip(up, down):
         if x > y:
-            return up.copy()
+            return up
         if x < y:
-            return down.copy()
-    return up.copy()
+            return down
+    return up
 
 
 @dataclass(frozen=True)
@@ -343,8 +343,8 @@ def random_direction_fixed_sum(n: int, K: float, rng: np.random.Generator) -> Di
         raise OutOfRange("K^2 must be below n+1")
     while True:
         g = rng.standard_normal(n + 1)
-        u = g - g.mean()
-        nrm = np.linalg.norm(u)
+        u = g - g.sum() / (n + 1)
+        nrm = math.sqrt(u @ u)
         if nrm > 1e-12:
             break
     u /= nrm
@@ -360,10 +360,9 @@ def random_direction_sign_pattern(n: int, P: int, rng: np.random.Generator) -> D
     """
     if not (1 <= P <= n):
         raise OutOfRange(f"P={P} outside 1..{n}")
-    N = n + 1 - P
     while True:
-        p = np.abs(rng.standard_normal(P)) + 1e-9
-        q = np.abs(rng.standard_normal(N)) + 1e-9
+        g = np.abs(rng.standard_normal(n + 1)) + 1e-9
+        p, q = g[:P], g[P:]
         cp = 1.0 / math.sqrt(float(p @ p) + (p.sum() ** 2) * float(q @ q) / (q.sum() ** 2))
         cq = cp * p.sum() / q.sum()
         v = np.sort(np.concatenate([cp * p, -cq * q]))[::-1]

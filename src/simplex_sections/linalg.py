@@ -1,10 +1,14 @@
 """Minimal dense linear algebra for ambient dimensions up to ~16.
 
 Plain numpy arrays in, plain numpy arrays out.  Everything here is pivoted
-elimination or classical Gram-Schmidt; the geometry upstream never needs
-more than a 16x16 system, so there are no sparse or blocked paths.
+elimination, classical Gram-Schmidt, or a Householder QR followed by
+column pivoting on the complement projector (basis completion); the
+geometry upstream never needs more than a 16x16 system, so there are no
+sparse or blocked paths.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,30 +45,42 @@ def gram_schmidt(vectors) -> list[np.ndarray]:
 
 
 def extend_to_orthonormal_basis(vectors, dim: int | None = None) -> list[np.ndarray]:
-    """Complete an (orthonormalized) set of vectors to a full basis of R^dim.
+    """Complete linearly independent vectors to an orthonormal basis of R^dim.
 
-    Greedy: repeatedly appends the standard basis vector with the largest
-    residual, so the result is deterministic.
+    The first rows orthonormalize the inputs in order: one Householder QR
+    with the signs chosen so that diag R > 0, which is the Gram-Schmidt
+    basis.  Raises RankDeficient when |R_ii| falls below PIVOT_RTOL times
+    the input scale, the criterion of gram_schmidt.  The remaining rows come
+    from column pivoting on the complement projector W = I - QQ^T
+    (Businger & Golub 1965): each step takes the column of largest norm,
+    i.e. the standard basis vector with the largest residual (first index
+    on ties), so the completion is deterministic.
     """
-    basis = gram_schmidt(vectors) if len(list(vectors)) else []
+    m = len(vectors)
     if dim is None:
-        dim = len(basis[0])
-    while len(basis) < dim:
-        best, best_res = None, -1.0
-        for j in range(dim):
-            w = np.zeros(dim)
-            w[j] = 1.0
-            for q in basis:
-                w -= (q @ w) * q
-            res = float(np.linalg.norm(w))
-            if res > best_res:
-                best, best_res = w, res
-        if best_res < PIVOT_RTOL:
-            raise RankDeficient("cannot extend basis")
-        for q in basis:
-            best -= (q @ best) * q
-        basis.append(best / np.linalg.norm(best))
-    return basis
+        dim = len(vectors[0])
+    a = np.array(vectors, dtype=float).reshape(m, dim)
+    if m > dim:
+        raise RankDeficient(f"{m} vectors cannot be independent in R^{dim}")
+    scale = math.sqrt(np.einsum("ij,ij->i", a, a).max()) if m else 0.0
+    if m and scale == 0.0:
+        raise RankDeficient("all input vectors are zero")
+    q, r = np.linalg.qr(a.T)
+    d = np.diag(r)
+    if np.any(np.abs(d) < PIVOT_RTOL * scale):
+        raise RankDeficient(f"residual {np.min(np.abs(d)):.3e} below pivot threshold")
+    basis = np.empty((dim, dim))
+    basis[:m] = q.T * np.sign(d)[:, None]
+    w = np.eye(dim) - basis[:m].T @ basis[:m]
+    for i in range(m, dim):
+        # w projects onto a (dim - i)-dim space, so its largest column norm
+        # is at least sqrt((dim - i) / dim) and the pivot never vanishes
+        col_sq = np.einsum("ij,ij->j", w, w)
+        j = int(np.argmax(col_sq))
+        v = w[:, j] / math.sqrt(col_sq[j])
+        w -= v[:, None] * (v @ w)
+        basis[i] = v
+    return list(basis)
 
 
 def _pivoted_elimination(A: np.ndarray):

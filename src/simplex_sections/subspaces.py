@@ -75,12 +75,14 @@ def hyperplane_basis(normal) -> SubspaceBasis:
 
 
 def complement_of_span(spanning) -> SubspaceBasis:
-    """Basis of H-perp for H given by a spanning set of vectors."""
-    spanning = [np.asarray(v, dtype=float).ravel() for v in spanning]
-    dim = len(spanning[0])
-    full = linalg.extend_to_orthonormal_basis(spanning, dim)
-    h_rank = len(linalg.gram_schmidt(spanning))
-    return SubspaceBasis(n=dim - 1, vectors=np.array(full[h_rank:]))
+    """Basis of H-perp for H given by a spanning set of vectors.
+
+    Raises RankDeficient when the spanning vectors are linearly dependent.
+    """
+    spanning = np.asarray(spanning, dtype=float)
+    m = len(spanning)
+    full = linalg.extend_to_orthonormal_basis(spanning.reshape(m, -1))
+    return SubspaceBasis(n=len(full) - 1, vectors=np.array(full[m:]))
 
 
 def random_subspace_through_centroid(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
@@ -92,6 +94,5 @@ def random_subspace_through_centroid(n: int, k: int, rng: np.random.Generator) -
     """
     if not (1 <= k <= n):
         raise OutOfRange(f"k={k} outside 1..{n}")
-    cols = [np.ones(n + 1) / np.sqrt(n + 1.0)]
-    cols.extend(rng.standard_normal(n + 1) for _ in range(k - 1))
-    return complement_of_span(linalg.gram_schmidt(cols))
+    cols = np.vstack([np.ones(n + 1) / np.sqrt(n + 1.0), rng.standard_normal((k - 1, n + 1))])
+    return complement_of_span(cols)

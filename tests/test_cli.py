@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +17,14 @@ SCHEMA = json.loads(
 
 
 def run_cli(*argv):
+    # the child imports the same source tree as this process, installed or not
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "simplex_sections.cli", *argv],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc
 
@@ -179,8 +184,8 @@ def test_verify_report_deterministic(tmp_path):
 
 
 def test_env_var_seed(tmp_path, monkeypatch):
-    # The child inherits the caller's environment (PYTHONPATH included), so
-    # the suite also runs against an uninstalled source tree.
+    # The child inherits the caller's environment, SIMPLEX_SECTIONS_SEED
+    # included.
     argv = ("volume", "--n", "4", "--a", "0.7,0.1,-0.3,-0.4,-0.1",
             "--methods", "mc", "--samples", "20000", "--no-timestamp")
     monkeypatch.setenv("SIMPLEX_SECTIONS_SEED", "42")

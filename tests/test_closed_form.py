@@ -159,6 +159,52 @@ def test_canonicalization():
     assert np.allclose(d.a, d2.a)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_direction_rejects_nonfinite(bad):
+    with pytest.raises(ValueError, match="coordinates must be finite"):
+        cf.Direction.make([0.5, bad, -0.3])
+
+
+def test_direction_rejects_zero_and_unnormalized():
+    with pytest.raises(ValueError, match="zero vector"):
+        cf.Direction.make([0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="deviates from 1"):
+        cf.Direction.make([0.6, 0.8 + 2e-9, 0.0], normalize=False)
+    d = cf.Direction.make([0.6, 0.8 + 5e-10, 0.0], normalize=False)
+    assert np.linalg.norm(d.a) == pytest.approx(1.0, rel=1e-15, abs=0)
+
+
+def _two_sort_canonical(v):
+    # reference: the canonical form from two sorts, which _canonical_coords
+    # now reads off one sort
+    up = np.sort(v)[::-1]
+    down = np.sort(-v)[::-1]
+    s = v.sum()
+    if s > cf.CANON_TOL:
+        return up.copy()
+    if s < -cf.CANON_TOL:
+        return down.copy()
+    for x, y in zip(up, down):
+        if x > y:
+            return up.copy()
+        if x < y:
+            return down.copy()
+    return up.copy()
+
+
+def test_canonical_coords_matches_two_sorts():
+    rng = np.random.default_rng(9)
+    vecs = [rng.standard_normal(int(rng.integers(2, 13))) for _ in range(300)]
+    for v in list(vecs[:100]):
+        vecs.append(v - v.mean())  # sum ~ 0, decided by the tie-break
+    vecs += [np.array(v, dtype=float) for v in (
+        [0.5, -0.5, 0.5, -0.5], [1.0, -1.0], [0.3, 0.2, -0.2, -0.3], [0.0, 0.0, 0.0],
+        [0.4, 0.1, -0.1, -0.4, 0.0], [2.0, -1.0, -1.0], [1.0, 1.0, -2.0], [0.0, 0.7, -0.7],
+    )]
+    for v in vecs:
+        assert np.array_equal(cf._canonical_coords(v), _two_sort_canonical(v))
+
+
 # --- representation conversions ---------------------------------------------
 
 def test_central_to_embedded_zero_offset():
@@ -323,7 +369,39 @@ def test_fixed_sum_sampler():
         for _ in range(50):
             a = cf.random_direction_fixed_sum(6, K, rng)
             assert a.ksum == pytest.approx(K, abs=1e-12)
-            assert a.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(a.a) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_samplers_match_their_reference_streams():
+    # references: the mean/linalg.norm fixed-sum sampler and the two-draw
+    # sign-pattern sampler; the samplers must return bit-identical directions
+    def fixed_sum_ref(n, K, rng):
+        while True:
+            g = rng.standard_normal(n + 1)
+            u = g - g.mean()
+            nrm = np.linalg.norm(u)
+            if nrm > 1e-12:
+                break
+        u /= nrm
+        return cf.Direction.make((K / (n + 1.0)) + math.sqrt(1.0 - K * K / (n + 1.0)) * u)
+
+    def sign_pattern_ref(n, P, rng):
+        p = np.abs(rng.standard_normal(P)) + 1e-9
+        q = np.abs(rng.standard_normal(n + 1 - P)) + 1e-9
+        cp = 1.0 / math.sqrt(float(p @ p) + (p.sum() ** 2) * float(q @ q) / (q.sum() ** 2))
+        v = np.sort(np.concatenate([cp * p, -(cp * p.sum() / q.sum()) * q]))[::-1]
+        return v / np.linalg.norm(v)
+
+    for n in range(2, 12):
+        for seed in range(20):
+            K = 0.9 * math.sqrt(n + 1) * seed / 20
+            got = cf.random_direction_fixed_sum(n, K, np.random.default_rng([seed, n]))
+            want = fixed_sum_ref(n, K, np.random.default_rng([seed, n]))
+            assert got.a.tobytes() == want.a.tobytes() and got.ksum == want.ksum
+            P = 1 + seed % n
+            got = cf.random_direction_sign_pattern(n, P, np.random.default_rng([seed, n]))
+            want = sign_pattern_ref(n, P, np.random.default_rng([seed, n]))
+            assert got.a.tobytes() == want.tobytes()
 
 
 def test_sign_pattern_sampler():

@@ -33,7 +33,7 @@ def test_concentrate_preserves_constraints():
             a = _random_signed(6, K, rng)
             sol = extremal.concentrate_transform(a)
             t = sol.transformed
-            assert t.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(t.a) == pytest.approx(1.0, abs=1e-12)
             assert t.ksum == pytest.approx(K, abs=1e-11)
             assert 0.0 - 1e-9 <= sol.gamma <= 1.0 + 1e-9
             assert 0.0 - 1e-9 <= sol.beta <= 1.0 + 1e-9
@@ -136,7 +136,7 @@ def test_balance_preserves_constraints():
             a = _random_signed(6, K, rng)
             sol = extremal.balance_transform(a)
             t = sol.transformed
-            assert t.norm == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(t.a) == pytest.approx(1.0, abs=1e-12)
             assert t.ksum == pytest.approx(K, abs=1e-11)
             assert sol.gamma >= 1.0 - 1e-9
             assert sol.beta >= sol.gamma - 1e-9

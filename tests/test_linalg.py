@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from simplex_sections import linalg
+from simplex_sections import extremal, linalg
 from simplex_sections.errors import RankDeficient
 
 
@@ -92,6 +92,62 @@ def test_extend_to_orthonormal_basis():
     full = np.array(linalg.extend_to_orthonormal_basis(base, 6))
     assert full.shape == (6, 6)
     assert np.max(np.abs(full @ full.T - np.eye(6))) < 1e-11
+
+
+def _greedy_extend(vectors, dim):
+    # reference: the per-unit-vector greedy completion that the pivoted
+    # projector replaces; it appends the e_j with the largest residual
+    basis = linalg.gram_schmidt(vectors) if len(vectors) else []
+    while len(basis) < dim:
+        best, best_res = None, -1.0
+        for j in range(dim):
+            w = np.zeros(dim)
+            w[j] = 1.0
+            for q in basis:
+                w -= (q @ w) * q
+            res = float(np.linalg.norm(w))
+            if res > best_res:
+                best, best_res = w, res
+        for q in basis:
+            best -= (q @ best) * q
+        basis.append(best / np.linalg.norm(best))
+    return np.array(basis)
+
+
+@pytest.mark.parametrize("dim", range(4, 14))
+def test_extend_matches_greedy_on_random_spans(dim):
+    rng = np.random.default_rng([8, dim])
+    for m in range(1, dim):
+        for _ in range(10):
+            span = rng.standard_normal((m, dim))
+            got = np.array(linalg.extend_to_orthonormal_basis(span, dim))
+            assert np.max(np.abs(got - _greedy_extend(list(span), dim))) <= 1e-13
+
+
+def test_extend_matches_greedy_projectors_on_ties():
+    # coordinate spans, the all-ones span and the conjectured k-dim maximizer
+    # leave exactly tied residuals, where rounding may pick another e_j; the
+    # complement must still span the same space
+    cases = [[np.eye(6)[0], np.eye(6)[3]], [np.eye(5)[4]], [np.ones(7)]]
+    cases = [(span, np.array(linalg.extend_to_orthonormal_basis(span, len(span[0])))[len(span):])
+             for span in cases]
+    for n, k in [(4, 3), (5, 3), (6, 4), (8, 5), (10, 7), (12, 2)]:
+        rest = np.r_[np.zeros(k - 1), np.ones(n + 2 - k)]
+        span = [np.eye(n + 1)[i] for i in range(k - 1)] + [rest]
+        cases.append((span, extremal.conjectured_kdim_maximizer(n, k).vectors))
+    for span, got in cases:
+        want = _greedy_extend(span, len(span[0]))[len(span):]
+        assert np.max(np.abs(got @ got.T - np.eye(len(got)))) <= 1e-14
+        assert np.max(np.abs(got.T @ got - want.T @ want)) <= 1e-14
+
+
+def test_extend_rank_deficient():
+    with pytest.raises(RankDeficient):
+        linalg.extend_to_orthonormal_basis([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], 3)
+    with pytest.raises(RankDeficient):
+        linalg.extend_to_orthonormal_basis(np.eye(3)[[0, 1, 2, 0]], 3)
+    with pytest.raises(RankDeficient):
+        linalg.extend_to_orthonormal_basis([np.zeros(4)], 4)
 
 
 def test_rank():

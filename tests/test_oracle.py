@@ -317,7 +317,7 @@ def test_triangulation_matches_pyramid_random(n):
     for _ in range(6):
         a = cf.random_direction_fixed_sum(n, float(rng.uniform(0, 0.9)), rng)
         tri, pyr = _triangulated_and_pyramid(spec, a)
-        assert tri == pytest.approx(pyr, rel=1e-12)
+        assert tri == pytest.approx(pyr, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(
@@ -332,14 +332,14 @@ def test_triangulation_matches_pyramid_random(n):
 def test_triangulation_matches_pyramid_exact_zero(coords):
     spec = oracle.regular_simplex(len(coords) - 1)
     tri, pyr = _triangulated_and_pyramid(spec, np.array(coords))
-    assert tri == pytest.approx(pyr, rel=1e-12)
+    assert tri == pytest.approx(pyr, rel=1e-12, abs=0)
 
 
 def test_triangulation_matches_pyramid_irregular():
     sim = irregular.compressed_simplex(5, -0.1)
     b = sim.half_split_vector() + np.array([0.3, -0.2, 0.1, 0.25, -0.15, 0.05])
     tri, pyr = _triangulated_and_pyramid(sim.spec(), b)
-    assert tri == pytest.approx(pyr, rel=1e-12)
+    assert tri == pytest.approx(pyr, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from simplex_sections import subspaces
+from simplex_sections.errors import RankDeficient
 
 
 def test_basis_orthonormal_validation():
@@ -31,6 +32,12 @@ def test_complement_roundtrip():
     assert b.codim == 4
     # complement rows are orthogonal to the original span
     assert np.max(np.abs(b.vectors @ span.T)) < 1e-10
+
+
+def test_complement_of_dependent_span_raises():
+    with pytest.raises(RankDeficient):
+        subspaces.complement_of_span([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0],
+                                      [1.0, 1.0, 1.0, 1.0]])
 
 
 def test_h_basis_spans_h():
