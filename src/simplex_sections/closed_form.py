@@ -68,13 +68,15 @@ class Direction:
         v = np.array(values, dtype=float).ravel()
         if v.size < 2:
             raise ValueError("need at least two coordinates")
-        nrm = math.sqrt(v @ v)  # bit-identical to np.linalg.norm on 1-D input
-        if not math.isfinite(nrm) and not np.all(np.isfinite(v)):
-            raise ValueError("coordinates must be finite")
-        if nrm == 0.0:
-            raise ValueError("zero vector")
-        if not normalize and abs(nrm - 1.0) > 1e-9:
-            raise ValueError(f"norm {nrm} deviates from 1 beyond 1e-9")
+        nrm, top = math.sqrt(v @ v), 1.0  # bit-identical to np.linalg.norm on 1-D input
+        if not math.isfinite(nrm) or nrm == 0.0:  # over- or underflow: rescale first
+            top = float(np.max(np.abs(v)))
+            if not math.isfinite(top) or top == 0.0:
+                raise ValueError("zero vector" if top == 0.0 else "coordinates must be finite")
+            v = v / top
+            nrm = math.sqrt(v @ v)
+        if not normalize and abs(nrm * top - 1.0) > 1e-9:
+            raise ValueError(f"norm {nrm * top} deviates from 1 beyond 1e-9")
         v = v / nrm
         if canonicalize:
             v = _canonical_coords(v)
@@ -187,21 +189,22 @@ def _residue_sum(coords: list[float]) -> float:
     """Residue sum over the positive coordinates, by the B-spline recurrence.
 
     The sum is the divided difference [t_0..t_n] x_+^(n-1) over the sorted
-    coordinates t, i.e. the Curry-Schoenberg B-spline with these knots,
-    evaluated at 0 and divided by n.  Order by order, b[i] holds
-    [t_i..t_(i+k)] x_+^(k-1) (the order-k B-spline at 0, divided by k) and
-    follows the de Boor-Cox recurrence.  Only the B-splines whose support
-    [t_i, t_(i+k)) contains 0 are nonzero, so every term is nonnegative,
-    every divisor spans 0, and coincident knots need no special case.
+    coordinates t, i.e. N(0)/(t_n - t_0) for the normalized Curry-Schoenberg
+    B-spline N of order n with these knots.  Order by order, N[i] holds the
+    order-k B-spline on t_i..t_(i+k) at 0, by the de Boor-Cox recurrence
+    N_ik = -t_i/(t_(i+k-1) - t_i) N_i(k-1) + t_(i+k)/(t_(i+k) - t_(i+1)) N_(i+1)(k-1).
+    A term is formed only where its B-spline's support contains 0; then its
+    divisor spans 0 and its coefficient lies in [0, 1], so the values stay
+    in [0, 1], coincident knots need no special case, and a knot however
+    close to 0 keeps its sign.
 
-    Rounding: the first order costs 2 roundings and each later order at
-    most 4 more along any path (product, sum, divisor, quotient).  All terms
-    are nonnegative, so relative errors add along the n-1 orders rather than
-    over the O(n^2) steps: the relative error is at most (4n-2)u.
+    Rounding: each order costs at most 4 roundings along any path
+    (difference, quotient, product, sum) and the final division 2 more.
+    All terms are nonnegative, so relative errors add along the n-1 orders
+    rather than over the O(n^2) steps: the relative error is at most
+    (4n-2)u, unless the value underflows below the normal range.
     """
     t = sorted(coords)
-    ztol = ZERO_REL * max(-t[0], t[-1])
-    t = [0.0 if abs(c) <= ztol else c for c in t]
     if not t[0] < 0.0 < t[-1]:
         raise EmptySection(
             "all nonzero coordinates share one sign; the hyperplane meets the "
@@ -209,12 +212,15 @@ def _residue_sum(coords: list[float]) -> float:
         )
     n = len(t) - 1
     m = bisect.bisect_right(t, 0.0) - 1  # t[m] <= 0 < t[m+1]
-    b = [0.0] * n
-    b[m] = 1.0 / (t[m + 1] - t[m])
+    N = [0.0] * n
+    N[m] = 1.0
     for k in range(2, n + 1):
         for i in range(max(0, m - k + 1), min(m, n - k) + 1):
-            b[i] = (t[i + k] * b[i + 1] - t[i] * b[i]) / (t[i + k] - t[i])
-    return b[0]
+            v = -t[i] / (t[i + k - 1] - t[i]) * N[i] if i > m - k + 1 else 0.0
+            if i < m:
+                v += t[i + k] / (t[i + k] - t[i + 1]) * N[i + 1]
+            N[i] = v
+    return N[0] / (t[n] - t[0])
 
 
 def residue_functional(a: Direction) -> float:

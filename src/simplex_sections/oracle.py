@@ -6,11 +6,12 @@ subspaces) and measured geometrically.
 
 A hyperplane section is the join of the face spanned by the vertices on the
 hyperplane with the crossing points v_ij of the edges from a positive vertex
-i to a negative vertex j.  The crossing points are a central projection, with
-positive denominator, of the Minkowski sum {v_i/phi_i} + {v_j/(-phi_j)}, so
-the staircase triangulation of the product of simplices (Gelfand, Kapranov &
-Zelevinsky, Discriminants, 7.3) carries over to them; the section is measured
-as the sum of its simplices, with one batched QR.  Sections of higher
+i to a negative vertex j, the signs taken exactly, with no tolerance.  The
+crossing points are a central projection, with positive denominator, of the
+Minkowski sum {v_i/phi_i} + {v_j/(-phi_j)}, so the staircase triangulation
+of the product of simplices (Gelfand, Kapranov & Zelevinsky, Discriminants,
+7.3) carries over to them; the section is measured as the sum of its
+simplices, whose edges are formed in closed form.  Sections of higher
 codimension come from solving every support system in one stacked call and
 are measured over their pulling triangulation (De Loera, Rambau & Santos,
 Triangulations, 4.3), whose facets are the exact zero-coordinate labels
@@ -38,7 +39,6 @@ from .errors import (
 )
 from .subspaces import SubspaceBasis
 
-VERTEX_DEDUP_TOL = 1e-10
 ZERO_COORD_TOL = 1e-12
 MAX_ENUM_N = 12
 MAX_ENUM_CODIM = 4
@@ -90,51 +90,19 @@ class SectionPolytope:
     Facets of the section are exactly the label classes, which is what the
     pulling triangulation walks.
 
-    A hyperplane section also carries `simplices`, a triangulation of it
-    built from the crossing points before duplicates are merged, so thin
-    pieces that dedupe collapses still count in the volume.
+    A hyperplane section also carries `edges`, the edge columns of every
+    simplex of its staircase triangulation, built in closed form from the
+    exact signs of the normal on the simplex vertices.
     """
 
     dim: int
     vertices: np.ndarray  # (m, n+1) rows
     zero_sets: tuple[frozenset[int], ...]
-    simplices: np.ndarray | None = None  # (S, d+1, n+1): S simplices of d+1 vertices
+    edges: np.ndarray | None = None  # (S, n+1, dim): edge columns of S simplices
 
     @property
     def vertex_count(self) -> int:
         return self.vertices.shape[0]
-
-
-def _dedupe(points: np.ndarray, zsets: list[frozenset[int]]):
-    """Merge each point into an earlier kept one within VERTEX_DEDUP_TOL.
-
-    One broadcast max-abs test over all pairs returns the inputs unchanged
-    when no two points are close; otherwise the first-come loop merges them
-    and unites their labels.
-    """
-    close = np.abs(points[:, None] - points[None]).max(axis=2) < VERTEX_DEDUP_TOL
-    np.fill_diagonal(close, False)
-    if not close.any():
-        return points, zsets
-    kept_pts: list[np.ndarray] = []
-    kept_zs: list[frozenset[int]] = []
-    for p, z in zip(points, zsets):
-        for i, q in enumerate(kept_pts):
-            if np.max(np.abs(p - q)) < VERTEX_DEDUP_TOL:
-                kept_zs[i] = kept_zs[i] | z
-                break
-        else:
-            kept_pts.append(p)
-            kept_zs.append(z)
-    return np.array(kept_pts), kept_zs
-
-
-def _build_polytope(
-    points: np.ndarray, zsets: list[frozenset[int]], simplices: np.ndarray | None = None
-) -> SectionPolytope:
-    arr, zs = _dedupe(points, zsets)
-    d = linalg.rank(arr - arr.mean(axis=0)) if len(arr) > 1 else 0
-    return SectionPolytope(dim=d, vertices=arr, zero_sets=tuple(zs), simplices=simplices)
 
 
 def _staircase(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,26 +121,35 @@ def _staircase(p: int, q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
-    """Vertices of H_b intersected with the simplex.
+    """Vertices of H_b intersected with the simplex, and its staircase edges.
 
-    They are the crossings of H_b with edges whose endpoints evaluate to
-    opposite signs, plus any simplex vertices lying on H_b.  The staircase
-    triangulation of the section is attached as `simplices`.
+    Vertices are split by the exact sign of phi = b . v, sorted.  The section
+    has the Z simplex vertices on H_b and the P*N crossings v_ij = lam_ij v_i
+    + mu_ij v_j of the edges from a positive v_i to a negative v_j, with
+    lam_ij = phi_j/(phi_j - phi_i) and mu_ij = phi_i/(phi_i - phi_j); none
+    coincide, so its dimension is P+N-2+Z (Z-1 without crossings).  Each
+    staircase path's consecutive edges come in closed form: v_i'j - v_ij has
+    v_j coefficient mu_i'j - mu_ij = lam_i'j (phi_i' - phi_i)/(phi_i - phi_j),
+    and v_ij' - v_ij has v_i coefficient
+    lam_ij' - lam_ij = mu_ij' (phi_j - phi_j')/(phi_i - phi_j).  Every
+    divisor is a difference of opposite signs, so nothing cancels however
+    close phi comes to 0.  The on-vertices are joined to the last cell.
     """
     bvec = b.a if isinstance(b, Direction) else np.asarray(b, dtype=float)
     phi = bvec @ spec.vertices  # per-vertex values
-    scale = float(np.max(np.abs(phi)))
-    if scale == 0.0:
+    if not phi.any():
         raise ValueError("normal vector vanishes on all vertices")
-    tol = 1e-12 * scale
-    on = [j for j in range(spec.n + 1) if abs(phi[j]) <= tol]
-    pos = [j for j in range(spec.n + 1) if phi[j] > tol]
-    neg = [j for j in range(spec.n + 1) if phi[j] < -tol]
+    order = np.argsort(phi, kind="stable")
+    sign = np.sign(phi[order])
+    neg, on, pos = order[sign < 0], order[sign == 0], order[sign > 0]
 
     everything = frozenset(range(spec.n + 1))
     vt = spec.vertices.T
-    lam = -phi[neg] / (phi[pos][:, None] - phi[neg])  # weight of vertex i, in (0,1)
-    crossing = lam[..., None] * vt[pos][:, None] + (1.0 - lam)[..., None] * vt[neg]
+    fp, fn = phi[pos][:, None], phi[neg]
+    gap = fp - fn  # (P, N), positive
+    lam = -fn / gap  # weight of the positive vertex i
+    mu = fp / gap  # weight of the negative vertex j
+    crossing = lam[..., None] * vt[pos][:, None] + mu[..., None] * vt[neg]
     points = np.concatenate([vt[on], crossing.reshape(-1, spec.n + 1)])
     zsets = [everything - {j} for j in on] + [everything - {i, j} for i in pos for j in neg]
 
@@ -180,13 +157,29 @@ def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
         raise EmptySection("normal is one-signed on all vertices and touches none")
     if len(points) == 1:
         raise PointSection(points[0])
-    if pos and neg:
+    if len(pos) and len(neg):
+        steps = np.zeros(gap.shape + (2, spec.n + 1))  # [i, j, 1]: step i -> i+1
+        steps[:-1, :, 1] = (
+            lam[1:, :, None] * vt[pos[1:], None]
+            - lam[:-1, :, None] * vt[pos[:-1], None]
+            + (lam[1:] * ((fp[1:] - fp[:-1]) / gap[:-1]))[..., None] * vt[neg]
+        )
+        steps[:, :-1, 0] = (  # [i, j, 0]: step j -> j+1
+            (mu[:, 1:] * ((fn[:-1] - fn[1:]) / gap[:, :-1]))[..., None] * vt[pos, None]
+            + mu[:, 1:, None] * vt[neg[1:]]
+            - mu[:, :-1, None] * vt[neg[:-1]]
+        )
         i, j = _staircase(len(pos), len(neg))
-        cells = crossing[i, j]
+        path = steps[i[:, :-1], j[:, :-1], np.diff(i, axis=1)]
+        apexes = vt[on] - crossing[-1, -1]
     else:  # no crossings: the section is the face spanned by the on-vertices
-        cells = np.empty((1, 0, spec.n + 1))
-    apexes = np.broadcast_to(vt[on], (cells.shape[0], len(on), spec.n + 1))
-    return _build_polytope(points, zsets, np.concatenate([cells, apexes], axis=1))
+        path = np.empty((1, 0, spec.n + 1))
+        apexes = vt[on[1:]] - vt[on[0]]
+    apexes = np.broadcast_to(apexes, (len(path),) + apexes.shape)
+    edges = np.concatenate([path, apexes], axis=1).transpose(0, 2, 1)
+    return SectionPolytope(
+        dim=edges.shape[2], vertices=points, zero_sets=tuple(zsets), edges=edges
+    )
 
 
 def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPolytope:
@@ -222,21 +215,14 @@ def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPol
         raise EmptySection("subspace misses the simplex")
     lam = np.zeros((int(feasible.sum()), spec.n + 1))
     np.put_along_axis(lam, supports[feasible], np.clip(sol[feasible], 0.0, None), axis=1)
-    zsets = [frozenset(np.flatnonzero(row).tolist()) for row in lam <= ZERO_COORD_TOL]
-    return _build_polytope(lam @ spec.vertices.T, zsets)
-
-
-def _simplices_volume(simplices: np.ndarray) -> float:
-    """Total volume of an (S, d+1, n+1) stack of d-simplices.
-
-    sum_s |prod diag R_s| / d!, where R_s comes from the QR factorization of
-    simplex s's edge matrix; one batched call for the whole stack.
-    """
-    d = simplices.shape[1] - 1
-    edges = (simplices[:, 1:] - simplices[:, :1]).transpose(0, 2, 1)  # (S, n+1, d)
-    r = np.linalg.qr(edges, mode="r")
-    diag = np.abs(np.diagonal(r, axis1=1, axis2=2))
-    return float(np.prod(diag, axis=1).sum()) / math.factorial(d)
+    # a vertex is the only feasible point with its support, so supports that
+    # solve to one vertex share its zero set; the first of each is kept
+    first: dict[frozenset[int], int] = {}
+    for i, row in enumerate(lam <= ZERO_COORD_TOL):
+        first.setdefault(frozenset(np.flatnonzero(row).tolist()), i)
+    points = (lam @ spec.vertices.T)[list(first.values())]
+    dim = linalg.rank(points - points.mean(axis=0)) if len(points) > 1 else 0
+    return SectionPolytope(dim=dim, vertices=points, zero_sets=tuple(first))
 
 
 def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
@@ -289,21 +275,24 @@ def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
 def polytope_volume(poly: SectionPolytope) -> VolumeResult:
     """Intrinsic volume, summed over a triangulation in one batched QR.
 
-    A hyperplane section's attached staircase triangulation is measured when
-    its dimension equals the polytope's d.  Otherwise (k-dim sections, and
-    hyperplane sections thinner than VERTEX_DEDUP_TOL, whose deduped rank is
-    below the staircase's) the pulling triangulation is read off the zero-set
-    labels.  Either way the volume is sum_s |prod diag R_s| / d!.  A dim-0
-    polytope counts as 1 by the point-measure convention.
+    A hyperplane section's staircase edges are measured as they are; a k-dim
+    section over the pulling triangulation read off its zero-set labels.
+    Either way the volume is sum_s |prod diag R_s| / d!, R_s from the QR
+    factorization of simplex s's (n+1, d) edge matrix, for the whole stack
+    in one call.  A dim-0 polytope counts as 1 by the point-measure
+    convention.
     """
     if poly.vertex_count == 0:
         raise EmptySection("empty polytope")
     if poly.dim == 0:
         return VolumeResult(value=1.0, method="oracle", err=0.0)
-    simp = poly.simplices
-    if simp is None or simp.shape[1] != poly.dim + 1:
+    edges = poly.edges
+    if edges is None:
         simp = poly.vertices[_pulling_triangulation(poly)]
-    value = _simplices_volume(simp)
+        edges = (simp[:, 1:] - simp[:, :1]).transpose(0, 2, 1)
+    r = np.linalg.qr(edges, mode="r")
+    value = float(np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1).sum())
+    value /= math.factorial(edges.shape[2])
     return VolumeResult(value=value, method="oracle", err=1e-13 * value * poly.dim)
 
 

@@ -33,8 +33,8 @@ def test_criterion_1_closed_form_constants():
     for n in range(2, 11):
         vmin = math.sqrt(n + 1) / math.factorial(n - 1) * (n / (n + 1)) ** (n - 0.5)
         vmax = math.sqrt(n + 1) / math.factorial(n - 1) / math.sqrt(2)
-        assert cf.special_min_volume(n) == pytest.approx(vmin, rel=1e-15)
-        assert cf.special_max_volume(n) == pytest.approx(vmax, rel=1e-15)
+        assert cf.special_min_volume(n) == pytest.approx(vmin, rel=1e-15, abs=0)
+        assert cf.special_max_volume(n) == pytest.approx(vmax, rel=1e-15, abs=0)
         worst = max(
             worst,
             abs(cf.residue_volume(cf.a_min_direction(n)).value / vmin - 1.0),
@@ -132,8 +132,8 @@ def test_criterion_4_frustum_values():
     t0 = time.time()
     v0 = oracle.frustum_volume(5, 0.0)
     vhalf = oracle.frustum_volume(5, 0.5)
-    assert v0 == pytest.approx(125 / 186624 * math.sqrt(210), rel=1e-12)
-    assert vhalf == pytest.approx(625 / 201684 * math.sqrt(10), rel=1e-12)
+    assert v0 == pytest.approx(125 / 186624 * math.sqrt(210), rel=1e-12, abs=0)
+    assert vhalf == pytest.approx(625 / 201684 * math.sqrt(10), rel=1e-12, abs=0)
     assert v0 < vhalf
     for N in (2, 3, 4):
         x, _ = extremal.minimize_frustum(N, 2000)
@@ -160,9 +160,9 @@ def test_criterion_5_minimal_sections():
         rep = extremal.verify_global_minimum(n, trials=10_000, seed=SEED + 10 + n)
         margins[n] = rep.margin
     # the two-positive family bottoms at the frustum midpoint values
-    assert oracle.frustum_volume(2, 0.5) == pytest.approx(0.5, rel=1e-12)
+    assert oracle.frustum_volume(2, 0.5) == pytest.approx(0.5, rel=1e-12, abs=0)
     assert oracle.frustum_volume(3, 0.5) == pytest.approx(
-        9 * math.sqrt(6) / 125, rel=1e-12
+        9 * math.sqrt(6) / 125, rel=1e-12, abs=0
     )
     elapsed = time.time() - t0
     passed = worst >= -1e-10 and all(m >= -1e-10 for m in margins.values()) and elapsed < 180.0

@@ -51,7 +51,7 @@ def test_volume_special_max():
     rec = json.loads(proc.stdout)
     jsonschema.validate(rec, SCHEMA)
     want = math.sqrt(5) / (6 * math.sqrt(2))
-    assert rec["results"][0]["value"] == pytest.approx(want, rel=1e-12)
+    assert rec["results"][0]["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_volume_basis_file(tmp_path):
@@ -70,7 +70,7 @@ def test_volume_basis_file(tmp_path):
     rec = json.loads(proc.stdout)
     jsonschema.validate(rec, SCHEMA)
     assert rec["results"][0]["vertex_count"] == 4
-    assert rec["results"][0]["value"] == pytest.approx(math.sqrt(1.5) / 6, rel=1e-12)
+    assert rec["results"][0]["value"] == pytest.approx(math.sqrt(1.5) / 6, rel=1e-12, abs=0)
 
 
 def test_volume_deterministic_bytes(tmp_path):
@@ -133,8 +133,8 @@ def test_convert_roundtrip_values():
     rec = json.loads(proc.stdout)
     jsonschema.validate(rec, SCHEMA)
     entry = rec["results"][0]
-    assert abs(entry["t"]) == pytest.approx(1 / (2 * math.sqrt(3)), rel=1e-12)
-    assert entry["centroid_distance"] == pytest.approx(abs(entry["t"]), rel=1e-12)
+    assert abs(entry["t"]) == pytest.approx(1 / (2 * math.sqrt(3)), rel=1e-12, abs=0)
+    assert entry["centroid_distance"] == pytest.approx(abs(entry["t"]), rel=1e-12, abs=0)
 
 
 def test_bounds_outputs():
@@ -143,7 +143,7 @@ def test_bounds_outputs():
     rec = json.loads(proc.stdout)
     jsonschema.validate(rec, SCHEMA)
     vals = {r["kind"]: r["value"] for r in rec["results"]}
-    assert vals["sharp"] == pytest.approx(math.sqrt(6) / 4, rel=1e-12)
+    assert vals["sharp"] == pytest.approx(math.sqrt(6) / 4, rel=1e-12, abs=0)
     assert vals["general"] >= vals["sharp"]
 
 

@@ -14,25 +14,27 @@ from simplex_sections.errors import DegenerateInput, EmptySection, OutOfRange
 # --- special directions and closed-form constants --------------------------
 
 def test_special_min_values():
-    assert cf.special_min_volume(2) == pytest.approx(2 * math.sqrt(2) / 3, rel=1e-15)
-    assert cf.special_min_volume(3) == pytest.approx((3 / 4) ** 2.5, rel=1e-15)
+    assert cf.special_min_volume(2) == pytest.approx(2 * math.sqrt(2) / 3, rel=1e-15, abs=0)
+    assert cf.special_min_volume(3) == pytest.approx((3 / 4) ** 2.5, rel=1e-15, abs=0)
     # n = 4 evaluates to the rational multiple 128/750 of 1
-    assert cf.special_min_volume(4) == pytest.approx(128 / 750, rel=1e-14)
+    assert cf.special_min_volume(4) == pytest.approx(128 / 750, rel=1e-14, abs=0)
 
 
 def test_special_max_values():
-    assert cf.special_max_volume(2) == pytest.approx(math.sqrt(3 / 2), rel=1e-15)
-    assert cf.special_max_volume(3) == pytest.approx(2 / (2 * math.sqrt(2)), rel=1e-15)
-    assert cf.special_max_volume(4) == pytest.approx(math.sqrt(5) / (6 * math.sqrt(2)), rel=1e-15)
+    assert cf.special_max_volume(2) == pytest.approx(math.sqrt(3 / 2), rel=1e-15, abs=0)
+    assert cf.special_max_volume(3) == pytest.approx(2 / (2 * math.sqrt(2)), rel=1e-15, abs=0)
+    assert cf.special_max_volume(4) == pytest.approx(
+        math.sqrt(5) / (6 * math.sqrt(2)), rel=1e-15, abs=0
+    )
 
 
 @pytest.mark.parametrize("n", range(2, 11))
 def test_residue_matches_special_directions(n):
     assert cf.residue_volume(cf.a_min_direction(n)).value == pytest.approx(
-        cf.special_min_volume(n), rel=1e-12
+        cf.special_min_volume(n), rel=1e-12, abs=0
     )
     assert cf.residue_volume(cf.a_max_direction(n)).value == pytest.approx(
-        cf.special_max_volume(n), rel=1e-12
+        cf.special_max_volume(n), rel=1e-12, abs=0
     )
 
 
@@ -40,7 +42,7 @@ def test_residue_matches_special_directions(n):
 
 def test_residue_max_direction_n2():
     d = cf.Direction.make([1 / math.sqrt(2), 0.0, -1 / math.sqrt(2)])
-    assert cf.residue_volume(d).value == pytest.approx(math.sqrt(3 / 2), rel=1e-13)
+    assert cf.residue_volume(d).value == pytest.approx(math.sqrt(3 / 2), rel=1e-13, abs=0)
 
 
 def test_residue_tied_pair_n3():
@@ -69,15 +71,15 @@ def test_prefactor_identity():
         a = cf.random_direction_fixed_sum(n, float(rng.uniform(0, 1)), rng)
         f = cf.residue_functional(a)
         pref = math.sqrt(n + 1 - a.ksum**2) / math.factorial(n - 1)
-        assert cf.residue_volume(a).value == pytest.approx(pref * f, rel=1e-12)
+        assert cf.residue_volume(a).value == pytest.approx(pref * f, rel=1e-12, abs=0)
 
 
 def test_functional_two_coordinate_values():
     # one positive, one negative coordinate, sum zero: the value is 1/sqrt(2)
     d = cf.Direction.make([1 / math.sqrt(2), -1 / math.sqrt(2), 0.0, 0.0])
-    assert cf.residue_functional(d) == pytest.approx(1 / math.sqrt(2), rel=1e-13)
+    assert cf.residue_functional(d) == pytest.approx(1 / math.sqrt(2), rel=1e-13, abs=0)
     assert cf.residue_functional(cf.a_max_direction(5)) == pytest.approx(
-        1 / math.sqrt(2), rel=1e-13
+        1 / math.sqrt(2), rel=1e-13, abs=0
     )
 
 
@@ -102,8 +104,24 @@ def _exact_residue_sum(coords):
         [0.3, 0.3 + 2e-6, 0.3 + 4e-6, 0.3 + 6e-6, -0.6, -0.6],
         [1, 1, 1, -1, -1, -1],
         [5e-324, 0.7, -0.7, 0],
+        # near-zero coordinates keep their sign, however small
+        [1, 1, -1e-11, -1e-11],
+        [0.6, 5e-13, -0.2, -0.5, 0.1, -0.3],
+        [1, 1, 1, -1e-9, -2e-9, -3e-9],
+        [0.502, 0.337, 0.226, -0.764, -3e-13],
+        [0.7, 0.2, -2e-13, -3e-13, -0.5],
     ],
-    ids=["triple-tie", "quadruple-tie", "exact-tie", "subnormal"],
+    ids=[
+        "triple-tie",
+        "quadruple-tie",
+        "exact-tie",
+        "subnormal",
+        "thin-square",
+        "tiny-positive-snap",
+        "tiny-negatives-thin",
+        "tiny-negative-snap",
+        "two-tiny-negatives-snap",
+    ],
 )
 def test_residue_ties_match_exact_rationals(coords):
     d = cf.Direction.make(coords)
@@ -136,7 +154,7 @@ def test_residue_permutation_invariance(vals, pyrandom):
     pyrandom.shuffle(perm)
     dp = cf.Direction.make(np.asarray(vals)[perm], canonicalize=False)
     assert cf.residue_volume(dp).value == pytest.approx(
-        cf.residue_volume(d).value, rel=1e-12
+        cf.residue_volume(d).value, rel=1e-12, abs=0
     )
 
 
@@ -146,7 +164,7 @@ def test_residue_sign_flip_invariance(vals):
     d = cf.Direction.make(vals, canonicalize=False)
     flipped = cf.Direction.make(-np.asarray(vals), canonicalize=False)
     assert cf.residue_volume(flipped).value == pytest.approx(
-        cf.residue_volume(d).value, rel=1e-12
+        cf.residue_volume(d).value, rel=1e-12, abs=0
     )
 
 
@@ -172,6 +190,18 @@ def test_direction_rejects_zero_and_unnormalized():
         cf.Direction.make([0.6, 0.8 + 2e-9, 0.0], normalize=False)
     d = cf.Direction.make([0.6, 0.8 + 5e-10, 0.0], normalize=False)
     assert np.linalg.norm(d.a) == pytest.approx(1.0, rel=1e-15, abs=0)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+def test_direction_rescales_far_from_unit(scale):
+    # sqrt(v @ v) overflows or underflows here; the unit normal must not
+    want = cf.Direction.make([1.0, -1.0, 0.3])
+    with np.errstate(over="ignore"):  # the unscaled dot product overflows first
+        d = cf.Direction.make([scale, -scale, 0.3 * scale])
+        with pytest.raises(ValueError, match="deviates from 1"):
+            cf.Direction.make([scale, -scale, 0.3 * scale], normalize=False)
+    assert np.allclose(d.a, want.a, rtol=1e-15, atol=0)
+    assert d.ksum == pytest.approx(want.ksum, rel=1e-15, abs=0)
 
 
 def _two_sort_canonical(v):
@@ -217,7 +247,7 @@ def test_central_to_embedded_zero_offset():
 def test_embedded_to_central_facet_normal():
     b = cf.Direction.make([1.0, 0.0, 0.0, 0.0], canonicalize=False)
     form = cf.embedded_to_central(b)
-    assert abs(form.t) == pytest.approx(1 / (2 * math.sqrt(3)), rel=1e-14)
+    assert abs(form.t) == pytest.approx(1 / (2 * math.sqrt(3)), rel=1e-14, abs=0)
     assert abs(float(np.sum(form.a0.a))) < 1e-12
     assert cf.centroid_distance(b) == pytest.approx(abs(form.t), abs=1e-15)
 
@@ -260,7 +290,7 @@ def test_origin_distance_central_hyperplane():
     a = cf.random_direction_fixed_sum(n, 0.0, np.random.default_rng(0))
     basis = subspaces.hyperplane_basis(a.a)
     assert cf.subspace_origin_distance(basis) == pytest.approx(
-        1 / math.sqrt(n + 1), rel=1e-13
+        1 / math.sqrt(n + 1), rel=1e-13, abs=0
     )
 
 
@@ -269,7 +299,7 @@ def test_origin_distance_codim1_with_sum():
     a = cf.random_direction_fixed_sum(n, K, np.random.default_rng(1))
     basis = subspaces.hyperplane_basis(a.a)
     assert cf.subspace_origin_distance(basis) == pytest.approx(
-        1 / math.sqrt(n + 1 - K * K), rel=1e-13
+        1 / math.sqrt(n + 1 - K * K), rel=1e-13, abs=0
     )
 
 
@@ -309,7 +339,7 @@ def test_origin_distance_codim2_against_projected_gradient():
 def test_max_bound_k0_matches_central_maximum():
     for n in range(3, 9):
         bound, maximizer = cf.max_noncentral_bound(n, 0.0)
-        assert bound == pytest.approx(cf.special_max_volume(n), rel=1e-15)
+        assert bound == pytest.approx(cf.special_max_volume(n), rel=1e-15, abs=0)
         nz = np.asarray(maximizer.a)[np.abs(maximizer.a) > 1e-12]
         assert sorted(np.round(nz, 12)) == pytest.approx(
             [-1 / math.sqrt(2), 1 / math.sqrt(2)], abs=1e-12
@@ -319,14 +349,14 @@ def test_max_bound_k0_matches_central_maximum():
 def test_max_bound_k1_is_facet_volume():
     for n in range(3, 9):
         bound, maximizer = cf.max_noncentral_bound(n, 1.0)
-        assert bound == pytest.approx(math.sqrt(n) / math.factorial(n - 1), rel=1e-14)
+        assert bound == pytest.approx(math.sqrt(n) / math.factorial(n - 1), rel=1e-14, abs=0)
         assert np.asarray(maximizer.a)[0] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_max_bound_saturation_grid():
     for K in np.linspace(0.0, 0.999, 25):
         bound, maximizer = cf.max_noncentral_bound(5, float(K))
-        assert cf.residue_volume(maximizer).value == pytest.approx(bound, rel=1e-12)
+        assert cf.residue_volume(maximizer).value == pytest.approx(bound, rel=1e-12, abs=0)
 
 
 def test_max_bound_out_of_range():
@@ -338,14 +368,14 @@ def test_max_bound_out_of_range():
 
 def test_brascamp_lieb_examples():
     general, conditional = cf.brascamp_lieb_bounds(3, 3)
-    assert general == pytest.approx(3 ** (3 / 8) / 2, rel=1e-14)
-    assert conditional == pytest.approx(2 / (2 * math.sqrt(2)), rel=1e-14)
+    assert general == pytest.approx(3 ** (3 / 8) / 2, rel=1e-14, abs=0)
+    assert conditional == pytest.approx(2 / (2 * math.sqrt(2)), rel=1e-14, abs=0)
 
 
 def test_brascamp_lieb_hyperplane_case():
     for n in range(3, 9):
         _, conditional = cf.brascamp_lieb_bounds(n, n)
-        assert conditional == pytest.approx(cf.special_max_volume(n), rel=1e-14)
+        assert conditional == pytest.approx(cf.special_max_volume(n), rel=1e-14, abs=0)
 
 
 def test_brascamp_lieb_ratio_tends_to_one():

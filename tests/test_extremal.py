@@ -97,7 +97,7 @@ def test_concentrate_monotonicity_fails_in_general():
     for d in (a, sol.transformed):
         rv = cf.residue_volume(d).value
         ov = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, d)).value
-        assert ov == pytest.approx(rv, rel=1e-10)
+        assert ov == pytest.approx(rv, rel=1e-10, abs=0)
 
 
 def test_concentrate_rejects_bad_K():
@@ -159,7 +159,7 @@ def test_balance_single_positive_reaches_face_parallel():
         a = cf.random_direction_sign_pattern(5, 1, rng)
         sol = extremal.balance_transform(a)
         assert cf.residue_volume(sol.transformed).value == pytest.approx(
-            cf.special_min_volume(5), rel=1e-11
+            cf.special_min_volume(5), rel=1e-11, abs=0
         )
 
 
@@ -184,10 +184,10 @@ def test_product_sum_sandwich(xs):
 
 def test_sandwich_equality_cases():
     low, mid, high = extremal.product_sum_sandwich([0.7])
-    assert low == pytest.approx(mid, rel=1e-15)
-    assert mid == pytest.approx(high, rel=1e-15)
+    assert low == pytest.approx(mid, rel=1e-15, abs=0)
+    assert mid == pytest.approx(high, rel=1e-15, abs=0)
     low, mid, high = extremal.product_sum_sandwich([0.3, 0.3, 0.3])
-    assert mid == pytest.approx(high, rel=1e-14)  # AGM is tight at equal inputs
+    assert mid == pytest.approx(high, rel=1e-14, abs=0)  # AGM is tight at equal inputs
     assert low < mid
 
 
@@ -197,13 +197,13 @@ def test_sandwich_equality_cases():
 def test_minimize_frustum_small_N(N, want):
     x, v = extremal.minimize_frustum(N, 2000)
     assert x == pytest.approx(want, abs=1e-8)
-    assert v == pytest.approx(oracle.frustum_volume(N, want), rel=1e-12)
+    assert v == pytest.approx(oracle.frustum_volume(N, want), rel=1e-12, abs=0)
 
 
 def test_minimize_frustum_N5_prefers_endpoint():
     x, v = extremal.minimize_frustum(5, 2000)
     assert x == pytest.approx(0.0, abs=1e-8)
-    assert v == pytest.approx(oracle.frustum_volume(5, 0.0), rel=1e-12)
+    assert v == pytest.approx(oracle.frustum_volume(5, 0.0), rel=1e-12, abs=0)
     assert oracle.frustum_volume(5, 0.0) < oracle.frustum_volume(5, 0.5)
 
 
@@ -219,8 +219,8 @@ def test_verify_global_minimum_small_dimensions():
 
 def test_verify_global_minimum_p2_family_floor():
     # the two-positive family bottoms at the frustum midpoint values
-    assert oracle.frustum_volume(2, 0.5) == pytest.approx(0.5, rel=1e-12)
-    assert oracle.frustum_volume(3, 0.5) == pytest.approx(9 * math.sqrt(6) / 125, rel=1e-12)
+    assert oracle.frustum_volume(2, 0.5) == pytest.approx(0.5, rel=1e-12, abs=0)
+    assert oracle.frustum_volume(3, 0.5) == pytest.approx(9 * math.sqrt(6) / 125, rel=1e-12, abs=0)
     rep = extremal.verify_global_minimum(3, trials=4000, seed=9)
     assert rep.per_pattern[2] >= 0.5 - 1e-10
 
@@ -240,7 +240,7 @@ def test_verify_kdim_bounds():
     assert rep.passed
     assert rep.witness_saturates
     assert rep.max_ratio_general <= 1.0 + 1e-12
-    assert rep.witness_value == pytest.approx(math.sqrt(6) / 4, rel=1e-12)
+    assert rep.witness_value == pytest.approx(math.sqrt(6) / 4, rel=1e-12, abs=0)
 
 
 def test_kdim_witness_closed_form():

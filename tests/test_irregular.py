@@ -49,7 +49,7 @@ def test_general_volume_reduces_to_residue_at_zero():
         a = cf.random_direction_fixed_sum(5, float(rng.uniform(0, 0.5)), rng)
         got = irregular.general_section_volume(sim, a)
         want = cf.residue_volume(a)
-        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=0)
 
 
 def test_general_volume_face_normal_vs_oracle():
@@ -83,7 +83,7 @@ def test_transform_consistency_random():
         except Exception:
             continue
         want = oracle.polytope_volume(poly).value
-        assert got.value == pytest.approx(want, rel=1e-8)
+        assert got.value == pytest.approx(want, rel=1e-8, abs=0)
         checked += 1
 
 

@@ -70,7 +70,7 @@ def test_det_product_rule():
         b = rng.standard_normal((6, 6))
         lhs = linalg.det(a @ b)
         rhs = linalg.det(a) * linalg.det(b)
-        assert lhs == pytest.approx(rhs, rel=1e-9)
+        assert lhs == pytest.approx(rhs, rel=1e-9, abs=0)
 
 
 def test_det_compressed_simplex_vertex_matrix():

@@ -150,8 +150,11 @@ def _pivoted_solve(a, b):
     return x
 
 
+VERTEX_DEDUP_TOL = 1e-10
+
+
 def _reference_enumeration(spec, basis):
-    """One support at a time, as a scalar loop, then the first-come dedupe."""
+    """One support at a time, as a scalar loop, then a first-come distance dedupe."""
     codim = basis.codim
     cons = basis.vectors @ spec.vertices
     rhs = np.zeros(codim + 1)
@@ -169,7 +172,7 @@ def _reference_enumeration(spec, basis):
         p = spec.vertices @ lam
         z = frozenset(j for j in range(spec.n + 1) if lam[j] <= oracle.ZERO_COORD_TOL)
         for i, q in enumerate(points):
-            if np.max(np.abs(p - q)) < oracle.VERTEX_DEDUP_TOL:
+            if np.max(np.abs(p - q)) < VERTEX_DEDUP_TOL:
                 zsets[i] = zsets[i] | z
                 break
         else:
@@ -218,7 +221,7 @@ def test_segment_volume():
     poly = oracle.kdim_section_vertices(
         spec, subspaces.complement_of_span([np.eye(5)[0], np.eye(5)[1]])
     )
-    assert oracle.polytope_volume(poly).value == pytest.approx(math.sqrt(2), rel=1e-14)
+    assert oracle.polytope_volume(poly).value == pytest.approx(math.sqrt(2), rel=1e-14, abs=0)
 
 
 def test_segment_with_three_collinear_vertices_is_degenerate():
@@ -235,7 +238,7 @@ def test_segment_with_three_collinear_vertices_is_degenerate():
 def test_half_half_square_volume():
     spec = oracle.regular_simplex(3)
     poly = oracle.hyperplane_section_vertices(spec, cf.Direction.make([0.5, 0.5, -0.5, -0.5]))
-    assert oracle.polytope_volume(poly).value == pytest.approx(0.5, rel=1e-13)
+    assert oracle.polytope_volume(poly).value == pytest.approx(0.5, rel=1e-13, abs=0)
 
 
 def test_face_volume_formula():
@@ -248,7 +251,7 @@ def test_face_volume_formula():
             continue
         poly = oracle.kdim_section_vertices(spec, basis)
         want = math.sqrt(k) / math.factorial(k - 1)
-        assert oracle.polytope_volume(poly).value == pytest.approx(want, rel=1e-12)
+        assert oracle.polytope_volume(poly).value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_oracle_agrees_with_residue():
@@ -263,7 +266,7 @@ def test_oracle_agrees_with_residue():
                 continue
             poly = oracle.hyperplane_section_vertices(spec, a)
             ov = oracle.polytope_volume(poly)
-            assert ov.value == pytest.approx(rv.value, rel=1e-9)
+            assert ov.value == pytest.approx(rv.value, rel=1e-9, abs=0)
 
 
 def _relabelled(poly, perm):
@@ -296,17 +299,17 @@ def test_pulling_refuses_label_classes_that_are_not_facets():
     spec = oracle.regular_simplex(3)
     poly = oracle.hyperplane_section_vertices(spec, np.array([1.0, 1.0, -1.0, 0.0]))
     want = oracle.polytope_volume(poly).value
-    moved = dataclasses.replace(_relabelled(poly, [1, 2, 0]), simplices=None)
+    moved = dataclasses.replace(_relabelled(poly, [1, 2, 0]), edges=None)
     assert oracle.polytope_volume(moved).value == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def _triangulated_and_pyramid(spec, b):
     # staircase triangulation against the pulling triangulation of the same
-    # polytope, which polytope_volume uses once `simplices` is dropped
+    # polytope, which polytope_volume uses once `edges` is dropped
     poly = oracle.hyperplane_section_vertices(spec, b)
-    assert poly.simplices.shape[1] == poly.dim + 1  # the triangulation is used
+    assert poly.edges.shape[2] == poly.dim  # the triangulation is used
     tri = oracle.polytope_volume(poly).value
-    pyr = oracle.polytope_volume(dataclasses.replace(poly, simplices=None)).value
+    pyr = oracle.polytope_volume(dataclasses.replace(poly, edges=None)).value
     return tri, pyr
 
 
@@ -349,8 +352,19 @@ def test_triangulation_matches_pyramid_irregular():
         [0.6, 1e-12, -0.2, -0.5, 0.1, -0.3],
         [0.502, 0.337, 0.226, -0.764, -2.86e-11],
         [0.848, 0.34, -0.272, -0.257, -0.161, 2.49e-11],
+        [1, 1, -1e-11, -1e-11],  # a square of side ~1e-11, not a segment
+        [0.6, 5e-13, -0.2, -0.5, 0.1, -0.3],  # inside a 1e-12 relative zero snap
+        [1, 1, 1, -1e-9, -2e-9, -3e-9],  # a 4-dim section, 1e-9 thin
     ],
-    ids=["tiny-positive-5", "tiny-positive-6", "tiny-negative", "tiny-positive-thin"],
+    ids=[
+        "tiny-positive-5",
+        "tiny-positive-6",
+        "tiny-negative",
+        "tiny-positive-thin",
+        "thin-square",
+        "tiny-positive-snap",
+        "tiny-negatives-thin",
+    ],
 )
 def test_oracle_matches_exact_rationals_near_zero(coords):
     d = cf.Direction.make(coords, canonicalize=False)
@@ -422,10 +436,10 @@ def test_parallel_slice_structure():
 
 def test_frustum_paper_values():
     assert oracle.frustum_volume(5, 0.0) == pytest.approx(
-        125 / 186624 * math.sqrt(210), rel=1e-12
+        125 / 186624 * math.sqrt(210), rel=1e-12, abs=0
     )
     assert oracle.frustum_volume(5, 0.5) == pytest.approx(
-        625 / 201684 * math.sqrt(10), rel=1e-12
+        625 / 201684 * math.sqrt(10), rel=1e-12, abs=0
     )
     assert oracle.frustum_volume(5, 0.0) < oracle.frustum_volume(5, 0.5)
 
@@ -445,7 +459,7 @@ def test_frustum_endpoint_is_padded_face_parallel_direction():
     for N in range(2, 7):
         padded = np.concatenate([[0.0], np.asarray(cf.a_min_direction(N).a)])
         want = cf.residue_volume(cf.Direction.make(padded, canonicalize=False)).value
-        assert oracle.frustum_volume(N, 0.0) == pytest.approx(want, rel=1e-12)
+        assert oracle.frustum_volume(N, 0.0) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_frustum_consistency_with_slice_decomposition():
@@ -454,7 +468,7 @@ def test_frustum_consistency_with_slice_decomposition():
     d = _two_block_direction(x, 1 - x, N)
     spec = oracle.regular_simplex(N + 1)
     got = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, d)).value
-    assert oracle.frustum_volume(N, x) == pytest.approx(got, rel=1e-11)
+    assert oracle.frustum_volume(N, x) == pytest.approx(got, rel=1e-11, abs=0)
 
 
 def test_frustum_domain():
@@ -535,7 +549,7 @@ def test_simplex_volume_regular():
     for n in (2, 3, 6):
         spec = oracle.regular_simplex(n)
         assert oracle.simplex_volume(spec) == pytest.approx(
-            math.sqrt(n + 1) / math.factorial(n), rel=1e-13
+            math.sqrt(n + 1) / math.factorial(n), rel=1e-13, abs=0
         )
 
 

@@ -25,7 +25,7 @@ def test_hyperplane_matches_residue_random():
         a = cf.random_direction_fixed_sum(6, float(rng.uniform(0, 0.9)), rng)
         rv = cf.residue_volume(a).value
         qv = quadrature.hyperplane_volume_quadrature(a, 1e-8)
-        assert qv.value == pytest.approx(rv, rel=1e-8)
+        assert qv.value == pytest.approx(rv, rel=1e-8, abs=0)
         assert abs(qv.value - rv) <= max(qv.err * 5, 1e-10 * rv)
 
 
@@ -57,7 +57,7 @@ def test_prefactor_paths_agree():
         basis = quadrature.hyperplane_basis_of(a)
         direct = quadrature._direct_prefactor(basis)
         pyramid = quadrature._pyramid_prefactor(basis)
-        assert direct == pytest.approx(pyramid, rel=1e-12)
+        assert direct == pytest.approx(pyramid, rel=1e-12, abs=0)
 
 
 def test_kdim_delegates_codim1():
@@ -74,8 +74,8 @@ def test_kdim_codim2_separable_case():
     res = quadrature.kdim_volume_quadrature(basis, 1e-6)
     poly = oracle.kdim_section_vertices(oracle.regular_simplex(5), basis)
     want = oracle.polytope_volume(poly).value
-    assert res.value == pytest.approx(want, rel=1e-5)
-    assert want == pytest.approx(math.sqrt(1.5) / 6, rel=1e-13)
+    assert res.value == pytest.approx(want, rel=1e-5, abs=0)
+    assert want == pytest.approx(math.sqrt(1.5) / 6, rel=1e-13, abs=0)
 
 
 def test_kdim_codim2_witness_value():
@@ -98,7 +98,7 @@ def test_kdim_codim2_random_vs_oracle():
         basis = subspaces.random_subspace_through_centroid(5, 4, rng)
         res = quadrature.kdim_volume_quadrature(basis, 1e-6)
         want = oracle.polytope_volume(oracle.kdim_section_vertices(spec, basis)).value
-        assert res.value == pytest.approx(want, rel=1e-5)
+        assert res.value == pytest.approx(want, rel=1e-5, abs=0)
 
 
 def _reference_square_volume(basis, tol):
@@ -181,8 +181,8 @@ def test_kdim_codim2_matches_per_cell_reference(n):
         basis = subspaces.random_subspace_through_centroid(n, n - 1, np.random.default_rng([7, 3]))
     res = quadrature.kdim_volume_quadrature(basis, 1e-6)
     want, want_err = _reference_square_volume(basis, 1e-6)
-    assert res.value == pytest.approx(want, rel=1e-13)
-    assert res.err == pytest.approx(want_err, rel=1e-8)
+    assert res.value == pytest.approx(want, rel=1e-13, abs=0)
+    assert res.err == pytest.approx(want_err, rel=1e-8, abs=0)
 
 
 def test_square_cell_budget_below_initial_grid():
@@ -238,6 +238,6 @@ def test_three_way_agreement():
                 continue
             qv = quadrature.hyperplane_volume_quadrature(a, 1e-8).value
             ov = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, a)).value
-            assert qv == pytest.approx(rv, rel=1e-7)
-            assert ov == pytest.approx(rv, rel=1e-7)
-            assert qv == pytest.approx(ov, rel=1e-7)
+            assert qv == pytest.approx(rv, rel=1e-7, abs=0)
+            assert ov == pytest.approx(rv, rel=1e-7, abs=0)
+            assert qv == pytest.approx(ov, rel=1e-7, abs=0)

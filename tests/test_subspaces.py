@@ -62,6 +62,6 @@ def test_sum_squares_matches_definition():
     rng = np.random.default_rng(2)
     b = subspaces.random_subspace_through_centroid(6, 4, rng)
     want = sum(float(row.sum()) ** 2 for row in b.vectors)
-    assert b.sum_squares() == pytest.approx(want, rel=1e-13)
+    assert b.sum_squares() == pytest.approx(want, rel=1e-13, abs=0)
     # rows orthogonal to the all-ones vector have zero coordinate sums
     assert b.sum_squares() == pytest.approx(0.0, abs=1e-20)
