@@ -8,7 +8,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math  # noqa: F401  (suite closures)
+import math
 import os
 import sys
 import time
@@ -104,18 +104,32 @@ class SystemExit2(Exception):
 # ---------------------------------------------------------------------------
 # volume
 
-def _run_direction_method(method: str, a: cf.Direction, spec, args):
-    if method == "residue":
-        return cf.residue_volume(a)
-    if method == "oracle":
-        poly = oracle.hyperplane_section_vertices(spec, a)
-        res = oracle.polytope_volume(poly)
-        return res, poly.vertex_count
-    if method == "quadrature":
-        return quadrature.hyperplane_volume_quadrature(a, tol=args.tol)
-    if method == "mc":
-        return oracle.monte_carlo_slab_volume(spec, a, args.eps, args.samples, args.seed)
-    raise SystemExit2(f"unknown method {method}")
+def _oracle_volume(section):
+    def run(x, spec, args):
+        poly = section(spec, x)
+        return oracle.polytope_volume(poly), {"vertex_count": poly.vertex_count}
+
+    return run
+
+
+# input kind -> method -> run(direction or basis, simplex, args) -> (result, extra fields)
+VOLUME_METHODS = {
+    "direction": {
+        "residue": lambda a, spec, args: (cf.residue_volume(a), {}),
+        "oracle": _oracle_volume(oracle.hyperplane_section_vertices),
+        "quadrature": lambda a, spec, args: (
+            quadrature.hyperplane_volume_quadrature(a, tol=args.tol), {}),
+        "mc": lambda a, spec, args: (
+            oracle.monte_carlo_slab_volume(spec, a, args.eps, args.samples, args.seed), {}),
+    },
+    "basis": {
+        "oracle": _oracle_volume(oracle.kdim_section_vertices),
+        "quadrature": lambda basis, spec, args: (
+            quadrature.kdim_volume_quadrature(basis, tol=args.tol), {}),
+        "mc": lambda basis, spec, args: (
+            quadrature.monte_carlo_cone_volume(basis, args.samples, args.seed), {}),
+    },
+}
 
 
 def cmd_volume(args) -> int:
@@ -130,42 +144,19 @@ def cmd_volume(args) -> int:
             "basis": np.asarray(basis.vectors).tolist(),
             "codim": basis.codim,
         }
-        spec = oracle.regular_simplex(basis.n)
-        for method in methods:
-            t0 = time.perf_counter()
-            extra = {}
-            if method == "oracle":
-                poly = oracle.kdim_section_vertices(spec, basis)
-                res = oracle.polytope_volume(poly)
-                extra["vertex_count"] = poly.vertex_count
-            elif method == "quadrature":
-                res = quadrature.kdim_volume_quadrature(basis, tol=args.tol)
-            elif method == "mc":
-                res = quadrature.monte_carlo_cone_volume(basis, args.samples, args.seed)
-            else:
-                raise SystemExit2(f"method {method} not available for a subspace basis")
-            rec["timings"][method] = time.perf_counter() - t0
-            rec["results"].append(
-                {"method": method, "value": res.value, "err": res.err, **extra}
-            )
+        x, kind, unknown = basis, "basis", "method {} not available for a subspace basis"
     else:
         a = _load_direction(args)
-        n = a.n
-        rec["inputs"] = {"n": n, "a": np.asarray(a.a).tolist()}
-        spec = oracle.regular_simplex(n)
-        for method in methods:
-            t0 = time.perf_counter()
-            extra = {}
-            out = _run_direction_method(method, a, spec, args)
-            if isinstance(out, tuple):
-                res, count = out
-                extra["vertex_count"] = count
-            else:
-                res = out
-            rec["timings"][method] = time.perf_counter() - t0
-            rec["results"].append(
-                {"method": method, "value": res.value, "err": res.err, **extra}
-            )
+        rec["inputs"] = {"n": a.n, "a": np.asarray(a.a).tolist()}
+        x, kind, unknown = a, "direction", "unknown method {}"
+    spec, table = oracle.regular_simplex(x.n), VOLUME_METHODS[kind]
+    for method in methods:
+        if method not in table:
+            raise SystemExit2(unknown.format(method))
+        t0 = time.perf_counter()
+        res, extra = table[method](x, spec, args)
+        rec["timings"][method] = time.perf_counter() - t0
+        rec["results"].append({"method": method, "value": res.value, "err": res.err, **extra})
 
     rec["agreement"] = []
     ok = True

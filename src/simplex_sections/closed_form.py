@@ -68,13 +68,14 @@ class Direction:
         v = np.array(values, dtype=float).ravel()
         if v.size < 2:
             raise ValueError("need at least two coordinates")
-        nrm, top = math.sqrt(v @ v), 1.0  # bit-identical to np.linalg.norm on 1-D input
+        # rounds as v @ v and np.linalg.norm do, without their overflow warning
+        nrm, top = math.sqrt(np.vdot(v, v)), 1.0
         if not math.isfinite(nrm) or nrm == 0.0:  # over- or underflow: rescale first
             top = float(np.max(np.abs(v)))
             if not math.isfinite(top) or top == 0.0:
                 raise ValueError("zero vector" if top == 0.0 else "coordinates must be finite")
             v = v / top
-            nrm = math.sqrt(v @ v)
+            nrm = math.sqrt(np.vdot(v, v))
         if not normalize and abs(nrm * top - 1.0) > 1e-9:
             raise ValueError(f"norm {nrm * top} deviates from 1 beyond 1e-9")
         v = v / nrm

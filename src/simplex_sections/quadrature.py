@@ -3,14 +3,16 @@
 The k-dimensional section volume equals a prefactor times the integral over
 R^(n+1-k) of prod_j 1/(1 + i <row_j, s>), where the rows collect the
 coordinates of an orthonormal basis of H-perp.  Codimension 1 reduces to a
-line integral of an even real part; codimension 2 is a tensor integral over
-a truncated square.  Higher codimension is served by the vertex-enumeration
-oracle instead.
+line integral of an even real part, folded from [0, inf) onto [0, 1];
+codimension 2 is a tensor integral over the tangent-compactified square.
+Both run on one adaptive Gauss-pair driver, `_adaptive`.  Higher
+codimension is served by the vertex-enumeration oracle instead.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +21,7 @@ from .errors import EmptySection, NotSupported, OutOfRange, TolUnreachable, Zero
 from .subspaces import SubspaceBasis
 
 MAX_DEPTH = 40
-SQUARE_CHUNK = 64  # cells per integrand call; keeps each temporary near 2 MB at n = 8
+CHUNK = 64  # cells per integrand call; keeps each square temporary near 2 MB at n = 8
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -30,67 +32,89 @@ def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_CACHE[order]
 
 
-def _line_integrand(coeffs: np.ndarray):
-    def f(s: np.ndarray) -> np.ndarray:
-        denom = 1.0 + 1j * np.multiply.outer(s, coeffs)
-        return 1.0 / np.prod(denom, axis=-1)
+def _adaptive(cells_fn, grid: np.ndarray, tol: float, max_cells: int):
+    """Globally adaptive Gauss-pair integration over the cells of `grid`.
 
-    return f
-
-
-def _adaptive_line(f, lo: float, hi: float, tol_abs: float, max_intervals: int = 4000):
-    """Globally adaptive bisection with a Gauss 15/31 pair per interval.
-
-    The initial partition doubles geometrically away from `lo` so that
-    integrands with slow power tails never need excessive bisection depth.
-    Deterministic: the worst-error interval is always refined first, ties
-    broken by insertion order.
+    `grid` holds 1-D intervals (a, b) or 2-D cells (a, b, c, d), one per
+    row; `cells_fn(cells)` returns the values and error estimates of such
+    an array of cells, one integrand call per rule.  The worst-error cell
+    is always split into its 2^d halves, ties broken by insertion order.
+    Refinement first meets 1e-3, which sets the absolute target
+    tol * max(|Re I|, 1e-6) from the total, then resumes on the same heap:
+    the state a fresh run to that target would pass through.
     """
-    x15, w15 = _gl(15)
-    x31, w31 = _gl(31)
+    heap, total, err_sum = [], 0.0, 0.0
+    for lo in range(0, len(grid), CHUNK):
+        chunk = grid[lo:lo + CHUNK]
+        for i, (cell, val, err) in enumerate(zip(chunk.tolist(), *cells_fn(chunk))):
+            total += val
+            err_sum += err
+            heap.append((-err, lo + i, 0, val, err, *cell))
+    heapq.heapify(heap)
+    counter = len(grid)
 
-    def segment(a: float, b: float):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        i15 = half * (w15 @ f(mid + half * x15))
-        i31 = half * (w31 @ f(mid + half * x31))
-        return i31, abs(i31 - i15)
-
-    bounds = [lo]
-    step = min(1.0, hi - lo)
-    while bounds[-1] + step < hi:
-        bounds.append(bounds[-1] + step)
-        step *= 2.0
-    bounds.append(hi)
-
-    heap = []
-    counter = 0
-    total = 0.0 + 0.0j
-    err_sum = 0.0
-    for a, b in zip(bounds, bounds[1:]):
-        val, err = segment(a, b)
-        total += val
-        err_sum += err
-        heapq.heappush(heap, (-err, counter, a, b, 0, val, err))
-        counter += 1
-
-    while err_sum > tol_abs and counter < max_intervals:
-        neg_err, _, a, b, depth, val, err = heapq.heappop(heap)
-        if depth >= MAX_DEPTH or (b - a) <= 1e-15 * max(1.0, abs(b)):
-            raise TolUnreachable(
-                f"refinement stalled at depth {depth} with error {err_sum:.3e}"
-            )
-        total -= val
-        err_sum -= err
-        mid = 0.5 * (a + b)
-        for aa, bb in ((a, mid), (mid, b)):
-            val2, err2 = segment(aa, bb)
-            total += val2
-            err_sum += err2
-            heapq.heappush(heap, (-err2, counter, aa, bb, depth + 1, val2, err2))
-            counter += 1
-    if err_sum > tol_abs:
-        raise TolUnreachable(f"interval budget exhausted with error {err_sum:.3e}")
+    target = 1e-3
+    for _ in range(2):  # the 1e-3 pass, then the resumed pass to the relative target
+        while err_sum > target and counter < max_cells:
+            top = heapq.heappop(heap)
+            _, _, depth, val, err = top[:5]
+            if depth >= MAX_DEPTH:
+                raise TolUnreachable(
+                    f"refinement stalled at depth {depth} with error {err_sum:.3e}"
+                )
+            total -= val
+            err_sum -= err
+            kids = [()]  # halve each axis in turn: the first axis varies slowest
+            for a, b in zip(top[5::2], top[6::2]):
+                mid = 0.5 * (a + b)
+                kids = [k + half for k in kids for half in ((a, mid), (mid, b))]
+            for cell, v2, e2 in zip(kids, *cells_fn(np.array(kids))):
+                total += v2
+                err_sum += e2
+                heapq.heappush(heap, (-e2, counter, depth + 1, v2, e2, *cell))
+                counter += 1
+        if err_sum > target:
+            raise TolUnreachable(f"cell budget exhausted with error {err_sum:.3e}")
+        target = tol * max(abs(total.real), 1e-6)
     return total, err_sum
+
+
+def _folded_line_integrand(coeffs: np.ndarray):
+    """Re prod_j 1/(1 + i a_j s) on [0, inf), folded onto x in (0, 1].
+
+    h(x) = f(x) + f(1/x)/x^2, and f(1/x)/x^2 = x^(n-1) / prod_j (x + i a_j)
+    stays finite as x -> 0, so the whole half-line needs no cutoff.
+    """
+    power = coeffs.size - 2
+
+    def h(x: np.ndarray) -> np.ndarray:
+        near = 1.0 / np.prod(1.0 + 1j * np.multiply.outer(x, coeffs), axis=-1)
+        far = 1.0 / np.prod(x[:, None] + 1j * coeffs, axis=-1)
+        return near.real + x**power * far.real
+
+    return h
+
+
+def _line_cells(h, cells: np.ndarray):
+    """15-point Gauss values and |15-point - 7-point| errors of intervals (a, b).
+
+    One integrand call per rule evaluates every interval of `cells`,
+    shape (m, 2).
+    """
+    a, b = cells.T[:, :, None]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    out = []
+    for order in (7, 15):
+        xn, xw = _gl(order)
+        vals = h((mid + half * xn).ravel()).reshape(-1, order)
+        out.append(half[:, 0] * (vals @ xw))
+    i7, i15 = out
+    return i15.tolist(), np.abs(i15 - i7).tolist()
+
+
+# dyadic marks 0, 2^-30, ..., 1/2, 1: the fold maps the slow tail toward x = 0
+_LINE_MARKS = [0.0] + [2.0**-e for e in range(30, -1, -1)]
+_LINE_GRID = np.column_stack([_LINE_MARKS[:-1], _LINE_MARKS[1:]])
 
 
 def _direct_prefactor(basis: SubspaceBasis) -> float:
@@ -109,43 +133,18 @@ def _pyramid_prefactor(basis: SubspaceBasis) -> float:
 def hyperplane_volume_quadrature(a: Direction, tol: float = 1e-9) -> VolumeResult:
     """Section volume from the line-integral form of the Fourier formula.
 
-    Uses evenness of the real part to integrate over [0, inf); the tail
-    beyond the truncation point is bounded analytically through
-    prod (1 + a_j^2 s^2)^(-1/2) <= prod (|a_j| s)^(-1) over the nonzero
-    coordinates and folded into the error estimate.
+    Uses evenness of the real part to integrate over [0, inf), folded onto
+    [0, 1] by s -> 1/s (see `_folded_line_integrand`): no truncation point
+    and no tail bound, and the 1e-3 pass resumes to the target.
     """
-    n = a.n
-    if n < 3:
+    if a.n < 3:
         raise OutOfRange("n >= 3 required for comfortable integrand decay")
     if not a.positive_indices() or not a.negative_indices():
         raise EmptySection("direction with one-signed coordinates")
-    coeffs = np.asarray(a.a, dtype=float)
-    nz = np.abs(coeffs[np.abs(coeffs) > a.zero_tol()])
-    m = nz.size
-    if m < 2:
-        raise EmptySection("fewer than two nonzero coordinates")
-    tail_c = float(np.prod(1.0 / nz))
-
-    def tail_bound(s: float) -> float:
-        return tail_c * s ** (1 - m) / (m - 1)
-
-    def cutoff(tol_tail: float) -> float:
-        return max(4.0, (tail_c / ((m - 1) * tol_tail)) ** (1.0 / (m - 1)))
-
-    f = _line_integrand(coeffs)
+    h = _folded_line_integrand(np.asarray(a.a, dtype=float))
+    val, err = _adaptive(partial(_line_cells, h), _LINE_GRID, max(tol, 1e-12), max_cells=4000)
     pref = _direct_prefactor(hyperplane_basis_of(a))
-
-    def run(tol_abs: float):
-        s_max = cutoff(0.5 * tol_abs)
-        val, err = _adaptive_line(f, 0.0, s_max, 0.5 * tol_abs)
-        return val, err + tail_bound(s_max)
-
-    val, err = run(1e-3)
-    target = max(tol, 1e-12) * max(abs(val.real), 1e-6)
-    if target < 1e-3:
-        val, err = run(target)
-    value = pref * val.real / math.pi
-    return VolumeResult(value=value, method="quadrature", err=pref * err / math.pi)
+    return VolumeResult(value=pref * val / math.pi, method="quadrature", err=pref * err / math.pi)
 
 
 def hyperplane_basis_of(a: Direction) -> SubspaceBasis:
@@ -200,63 +199,16 @@ def _square_cells(f, cells: np.ndarray):
     return i15[:, 0].tolist(), np.hypot(diff.real, diff.imag).tolist()
 
 
-def _adaptive_square(f, x1: float, y1: float, max_cells: int = 24000):
-    """Adaptive tensor quadrature over [0, x1] x [-y1, y1], 7/15 point pair.
-
-    Lays the initial grid and returns `refine(tol_abs) -> (total, err)`.
-    The worst-error cell is always split into four, ties broken by
-    insertion order; a second, smaller `tol_abs` resumes from where the
-    first stopped, which is the state a fresh run would pass through.
-    Cells are evaluated in batches: the grid SQUARE_CHUNK at a time, the
-    four children of a split cell in one call.
-    """
-
-    # initial grid: arctan images of doubling marks, denser toward the origin
-    def marks(limit):
-        pts = [0.0]
-        raw = 1.0
-        while (m := float(np.arctan(raw))) < limit - 1e-9:
-            pts.append(m)
-            raw *= 2.0
-        pts.append(limit)
-        return pts
-
-    xs = marks(x1)
-    ys = marks(y1)
-    ybounds = sorted(set([-v for v in ys] + ys))
-    grid = np.array([(a, b, c, d) for a, b in zip(xs, xs[1:])
-                     for c, d in zip(ybounds, ybounds[1:])])
-
-    heap, total, err_sum = [], 0.0 + 0.0j, 0.0
-    for lo in range(0, len(grid), SQUARE_CHUNK):
-        chunk = grid[lo:lo + SQUARE_CHUNK]
-        for i, (cell, val, err) in enumerate(zip(chunk.tolist(), *_square_cells(f, chunk))):
-            total += val
-            err_sum += err
-            heap.append((-err, lo + i, *cell, 0, val, err))
-    heapq.heapify(heap)
-    counter = len(grid)
-
-    def refine(tol_abs: float):
-        nonlocal total, err_sum, counter
-        while err_sum > tol_abs and counter < max_cells:
-            _, _, a, b, c, d, depth, val, err = heapq.heappop(heap)
-            if depth >= MAX_DEPTH:
-                raise TolUnreachable(f"cell refinement stalled, error {err_sum:.3e}")
-            total -= val
-            err_sum -= err
-            mx, my = 0.5 * (a + b), 0.5 * (c + d)
-            kids = [(a, mx, c, my), (a, mx, my, d), (mx, b, c, my), (mx, b, my, d)]
-            for cell, v2, e2 in zip(kids, *_square_cells(f, np.array(kids))):
-                total += v2
-                err_sum += e2
-                heapq.heappush(heap, (-e2, counter, *cell, depth + 1, v2, e2))
-                counter += 1
-        if err_sum > tol_abs:
-            raise TolUnreachable(f"cell budget exhausted with error {err_sum:.3e}")
-        return total, err_sum
-
-    return refine
+def _square_grid() -> np.ndarray:
+    """Cells of [0, pi/2] x [-pi/2, pi/2] between the arctan images of
+    doubling marks, denser toward the origin."""
+    xs, raw = [0.0], 1.0
+    while (m := float(np.arctan(raw))) < 0.5 * math.pi - 1e-9:
+        xs.append(m)
+        raw *= 2.0
+    xs.append(0.5 * math.pi)
+    ys = sorted(set([-v for v in xs] + xs))
+    return np.array([(a, b, c, d) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])])
 
 
 def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeResult:
@@ -266,9 +218,7 @@ def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeRes
     the tangent-compactified integrand over a finite square: the
     substitution's Jacobian cancels the quadratic radial decay, so every
     absolutely integrable case is covered without a truncation radius.
-    The square is refined to 1e-3 first, which sets the absolute target
-    from the total; refinement then resumes on the same cells (batched,
-    see `_adaptive_square`) rather than restarting.
+    Both run on `_adaptive`, the square with cells batched CHUNK at a time.
     Codimension >= 3 is not supported here (the oracle covers it).
     """
     if basis.codim == 1:
@@ -277,16 +227,10 @@ def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeRes
         )
     if basis.codim != 2:
         raise NotSupported("quadrature implemented for codimension 1 and 2 only")
-    rows = np.asarray(basis.vectors, dtype=float)
-    ft = _compactified_integrand(rows)
+    ft = _compactified_integrand(np.asarray(basis.vectors, dtype=float))
+    cells = partial(_square_cells, ft)
+    val, err = _adaptive(cells, _square_grid(), max(tol, 1e-10), max_cells=24000)
     pref = _direct_prefactor(basis)
-    half_pi = 0.5 * math.pi
-
-    refine = _adaptive_square(ft, half_pi, half_pi)
-    val, err = refine(1e-3)
-    target = max(tol, 1e-10) * max(abs(val.real), 1e-6)
-    if target < 1e-3:
-        val, err = refine(target)
     scale = 2.0 / (2.0 * math.pi) ** 2  # doubled half-plane integral
     return VolumeResult(
         value=pref * val.real * scale, method="quadrature", err=pref * err * scale
@@ -337,5 +281,5 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
     var_w = max(total_w2 / samples - mean_w * mean_w, 0.0)
     se = math.sqrt(var_w / samples)
     # cone estimate -> k-volume (divide k!) -> section volume (pyramid formula)
-    conv = math.sqrt(basis.n + 1.0 - basis.sum_squares()) / math.factorial(k - 1)
+    conv = _direct_prefactor(basis)
     return VolumeResult(value=mean_w * conv, method="monte-carlo", err=se * conv)

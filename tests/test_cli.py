@@ -54,7 +54,7 @@ def test_volume_special_max():
     assert rec["results"][0]["value"] == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_volume_basis_file(tmp_path):
+def _separable_basis_file(tmp_path):
     basis = {
         "n": 5,
         "basis": [
@@ -64,6 +64,11 @@ def test_volume_basis_file(tmp_path):
     }
     path = tmp_path / "h.json"
     path.write_text(json.dumps(basis))
+    return path
+
+
+def test_volume_basis_file(tmp_path):
+    path = _separable_basis_file(tmp_path)
     proc = run_cli("volume", "--basis-file", str(path), "--methods", "oracle",
                    "--no-timestamp")
     assert proc.returncode == 0, proc.stderr
@@ -71,6 +76,22 @@ def test_volume_basis_file(tmp_path):
     jsonschema.validate(rec, SCHEMA)
     assert rec["results"][0]["vertex_count"] == 4
     assert rec["results"][0]["value"] == pytest.approx(math.sqrt(1.5) / 6, rel=1e-12, abs=0)
+
+
+def test_volume_basis_file_codim2_all_methods(tmp_path):
+    path = _separable_basis_file(tmp_path)
+    proc = run_cli("volume", "--basis-file", str(path), "--methods", "oracle,quadrature,mc",
+                   "--samples", "200000", "--seed", "3", "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    jsonschema.validate(rec, SCHEMA)
+    assert rec["inputs"]["codim"] == 2
+    assert [r["method"] for r in rec["results"]] == ["oracle", "quadrature", "mc"]
+    assert [("vertex_count" in r) for r in rec["results"]] == [True, False, False]
+    want = math.sqrt(1.5) / 6
+    for r in rec["results"]:
+        assert abs(r["value"] - want) <= max(3 * r["err"], 1e-5 * want)
+    assert len(rec["agreement"]) == 3 and rec["pass"] is True
 
 
 def test_volume_deterministic_bytes(tmp_path):

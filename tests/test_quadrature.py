@@ -1,5 +1,6 @@
 import heapq
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -44,9 +45,25 @@ def test_imag_part_integrates_to_zero():
     # the integrand's imaginary part is odd, so the full-line integral vanishes
     rng = np.random.default_rng(1)
     a = cf.random_direction_fixed_sum(5, 0.4, rng)
-    f = quadrature._line_integrand(np.asarray(a.a))
-    val, _ = quadrature._adaptive_line(lambda s: f(s).imag + 0j, -60.0, 60.0, 1e-10)
+    coeffs = np.asarray(a.a)
+
+    def g(s):
+        return (1.0 / np.prod(1.0 + 1j * np.multiply.outer(s, coeffs), axis=-1)).imag
+
+    # fold the line onto [-1, 1]: |s| > 1 contributes g(1/x)/x^2 over |x| < 1
+    cells = partial(quadrature._line_cells, lambda x: g(x) + g(1.0 / x) / (x * x))
+    grid = np.array([[-1.0, -0.25], [-0.25, 0.0], [0.0, 1.0]])  # not symmetric about 0
+    # relative tol 1e-4 of the 1e-6 floor: absolute 1e-10 on a vanishing total
+    val, _ = quadrature._adaptive(cells, grid, 1e-4, max_cells=4000)
     assert abs(val) < 1e-10
+
+
+def test_refinement_stalls_at_max_depth():
+    # the Gauss-pair error of the cell holding a jump only halves with each
+    # split, so an unreachable tolerance splits it until MAX_DEPTH stops it
+    cells = partial(quadrature._line_cells, lambda x: (x > 1.0 / 3.0).astype(float))
+    with pytest.raises(TolUnreachable, match=f"stalled at depth {quadrature.MAX_DEPTH}"):
+        quadrature._adaptive(cells, np.array([[0.0, 1.0]]), 0.0, max_cells=4000)
 
 
 def test_prefactor_paths_agree():
@@ -187,9 +204,10 @@ def test_kdim_codim2_matches_per_cell_reference(n):
 
 def test_square_cell_budget_below_initial_grid():
     f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
-    refine = quadrature._adaptive_square(f, 0.5 * math.pi, 0.5 * math.pi, max_cells=100)
+    cells = partial(quadrature._square_cells, f)
+    # the grid alone reaches 2.8e-12 absolute on a total of pi^2; ask for less
     with pytest.raises(TolUnreachable, match="cell budget exhausted"):
-        refine(1e-12)
+        quadrature._adaptive(cells, quadrature._square_grid(), 1e-14, max_cells=100)
 
 
 def test_kdim_rejects_codim3():
