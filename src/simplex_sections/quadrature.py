@@ -139,7 +139,7 @@ def hyperplane_volume_quadrature(a: Direction, tol: float = 1e-9) -> VolumeResul
     """
     if a.n < 3:
         raise OutOfRange("n >= 3 required for comfortable integrand decay")
-    if not a.positive_indices() or not a.negative_indices():
+    if not (a.a > 0).any() or not (a.a < 0).any():
         raise EmptySection("direction with one-signed coordinates")
     h = _folded_line_integrand(np.asarray(a.a, dtype=float))
     val, err = _adaptive(partial(_line_cells, h), _LINE_GRID, max(tol, 1e-12), max_cells=4000)
@@ -200,12 +200,17 @@ def _square_cells(f, cells: np.ndarray):
 
 
 def _square_grid() -> np.ndarray:
-    """Cells of [0, pi/2] x [-pi/2, pi/2] between the arctan images of
-    doubling marks, denser toward the origin."""
+    """The 16 x 32 = 512 starting cells of [0, pi/2] x [-pi/2, pi/2].
+
+    Marks sit at u = 0, arctan(4^e) for e = 0..14, and pi/2: the inner
+    marks are in ratio 4 in s = tan u, so in u the cells crowd toward
+    +-pi/2.  The grid is coarse on purpose: `_adaptive` refines where the
+    error is.
+    """
     xs, raw = [0.0], 1.0
     while (m := float(np.arctan(raw))) < 0.5 * math.pi - 1e-9:
         xs.append(m)
-        raw *= 2.0
+        raw *= 4.0
     xs.append(0.5 * math.pi)
     ys = sorted(set([-v for v in xs] + xs))
     return np.array([(a, b, c, d) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])])

@@ -41,6 +41,15 @@ def test_hyperplane_rejects_one_signed():
         quadrature.hyperplane_volume_quadrature(d, 1e-8)
 
 
+def test_hyperplane_sign_check_is_exact():
+    # the lone negative coordinate lies below Direction.zero_tol(), yet the
+    # section is not empty: quadrature must integrate it, not reject it
+    d = cf.Direction.make([0.6, 0.5, 0.4, 0.3, -5e-13], canonicalize=False)
+    q = quadrature.hyperplane_volume_quadrature(d, 1e-9)
+    r = cf.residue_volume(d)
+    assert abs(q.value - r.value) <= q.err + r.err
+
+
 def test_imag_part_integrates_to_zero():
     # the integrand's imaginary part is odd, so the full-line integral vanishes
     rng = np.random.default_rng(1)
@@ -143,7 +152,7 @@ def _reference_square_volume(basis, tol):
         pts, raw = [0.0], 1.0
         while (m := float(np.arctan(raw))) < limit - 1e-9:
             pts.append(m)
-            raw *= 2.0
+            raw *= 4.0
         return pts + [limit]
 
     def run(f, tol_abs, max_cells=24000):
@@ -202,10 +211,50 @@ def test_kdim_codim2_matches_per_cell_reference(n):
     assert res.err == pytest.approx(want_err, rel=1e-8, abs=0)
 
 
+def _general_codim2_basis(n, rng):
+    # H-perp orthogonal to a random interior point p, so H meets the simplex
+    p = rng.dirichlet(np.ones(n + 1))
+    rows = rng.standard_normal((2, n + 1))
+    rows -= np.outer(rows @ p, p) / (p @ p)
+    return subspaces.basis_from_rows(rows)
+
+
+def _codim2_cases():
+    rng = np.random.default_rng([10, 2])
+    for n in range(4, 9):
+        yield f"centroid-{n}", subspaces.random_subspace_through_centroid(n, n - 1, rng)
+    for n in (4, 6, 8):
+        yield f"general-{n}", _general_codim2_basis(n, rng)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+def test_kdim_codim2_within_err_of_oracle(tol):
+    # the coarse starting grid leaves the accuracy to refinement: every
+    # result must still lie within its err of the oracle
+    for name, basis in _codim2_cases():
+        q = quadrature.kdim_volume_quadrature(basis, tol)
+        o = oracle.polytope_volume(oracle.kdim_section_vertices(oracle.regular_simplex(basis.n), basis))
+        assert abs(q.value - o.value) <= q.err + o.err, name
+
+
+def test_square_grid_tiles_the_half_square():
+    g = quadrature._square_grid()
+    assert g.shape == (512, 4)
+    a, b, c, d = g.T
+    assert (a < b).all() and (c < d).all()
+    assert a.min() == 0.0 and b.max() == 0.5 * math.pi
+    assert c.min() == -0.5 * math.pi and d.max() == 0.5 * math.pi
+    overlap = (np.minimum.outer(b, b) > np.maximum.outer(a, a)) & (
+        np.minimum.outer(d, d) > np.maximum.outer(c, c)
+    )
+    assert np.count_nonzero(overlap) == len(g)  # each cell overlaps only itself
+    assert ((b - a) * (d - c)).sum() == pytest.approx(0.5 * math.pi**2, rel=1e-14, abs=0)
+
+
 def test_square_cell_budget_below_initial_grid():
     f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
     cells = partial(quadrature._square_cells, f)
-    # the grid alone reaches 2.8e-12 absolute on a total of pi^2; ask for less
+    # the 512-cell grid alone reaches 3.4e-12 absolute on a total of pi^2; ask for less
     with pytest.raises(TolUnreachable, match="cell budget exhausted"):
         quadrature._adaptive(cells, quadrature._square_grid(), 1e-14, max_cells=100)
 
