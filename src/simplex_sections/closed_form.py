@@ -24,7 +24,6 @@ import numpy as np
 from .errors import DegenerateInput, EmptySection, OutOfRange
 from .subspaces import SubspaceBasis
 
-ZERO_REL = 1e-12   # |a_j| below this times max|a| counts as a zero coordinate
 CANON_TOL = 1e-12
 
 _METHODS = ("residue", "quadrature", "oracle", "monte-carlo", "closed-form")
@@ -88,16 +87,11 @@ class Direction:
     def n(self) -> int:
         return self.a.size - 1
 
-    def zero_tol(self) -> float:
-        return ZERO_REL * float(np.max(np.abs(self.a)))
-
     def positive_indices(self) -> list[int]:
-        t = self.zero_tol()
-        return [j for j, c in enumerate(self.a) if c > t]
+        return np.flatnonzero(self.a > 0).tolist()
 
     def negative_indices(self) -> list[int]:
-        t = self.zero_tol()
-        return [j for j, c in enumerate(self.a) if c < -t]
+        return np.flatnonzero(self.a < 0).tolist()
 
     def canonical(self) -> "Direction":
         return Direction.make(self.a, canonicalize=True)

@@ -1,10 +1,9 @@
 """Minimal dense linear algebra for ambient dimensions up to ~16.
 
-Plain numpy arrays in, plain numpy arrays out.  Everything here is pivoted
-elimination, classical Gram-Schmidt, or a Householder QR followed by
-column pivoting on the complement projector (basis completion); the
-geometry upstream never needs more than a 16x16 system, so there are no
-sparse or blocked paths.
+Plain numpy arrays in, plain numpy arrays out.  Everything here is
+classical Gram-Schmidt, or a Householder QR followed by column pivoting on
+the complement projector (basis completion); the geometry upstream never
+needs more than a 16x16 system, so there are no sparse or blocked paths.
 """
 from __future__ import annotations
 
@@ -81,51 +80,3 @@ def extend_to_orthonormal_basis(vectors, dim: int | None = None) -> list[np.ndar
         w -= v[:, None] * (v @ w)
         basis[i] = v
     return list(basis)
-
-
-def _pivoted_elimination(A: np.ndarray):
-    """Row-reduce A with partial pivoting.
-
-    Returns (U, sign, colscale) where U is upper triangular.
-    """
-    U = np.array(A, dtype=float)
-    if U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise ValueError("square matrix required")
-    m = U.shape[0]
-    colscale = float(np.max(np.abs(U))) if U.size else 0.0
-    sign = 1.0
-    for col in range(m):
-        piv = col + int(np.argmax(np.abs(U[col:, col])))
-        if piv != col:
-            U[[col, piv]] = U[[piv, col]]
-            sign = -sign
-        p = U[col, col]
-        if p == 0.0:
-            continue
-        rows = slice(col + 1, m)
-        factors = U[rows, col] / p
-        U[rows, col:] -= np.outer(factors, U[col, col:])
-        U[rows, col] = 0.0
-    return U, sign, colscale
-
-
-def det(A) -> float:
-    """Determinant via pivoted elimination.  Zero is a valid answer."""
-    U, sign, scale = _pivoted_elimination(A)
-    if scale == 0.0:
-        return 0.0
-    d = sign
-    for p in np.diag(U):
-        d *= p
-    return float(d)
-
-
-def rank(points: np.ndarray, tol: float = 1e-8) -> int:
-    """Numerical rank of a stack of row vectors, relative SVD threshold."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return 0
-    s = np.linalg.svd(pts, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))

@@ -12,22 +12,22 @@ Minkowski sum {v_i/phi_i} + {v_j/(-phi_j)}, so the staircase triangulation
 of the product of simplices (Gelfand, Kapranov & Zelevinsky, Discriminants,
 7.3) carries over to them; the section is measured as the sum of its
 simplices, whose edges are formed in closed form.  Sections of higher
-codimension come from solving every support system in one stacked call and
-are measured over their pulling triangulation (De Loera, Rambau & Santos,
-Triangulations, 4.3), whose facets are the exact zero-coordinate labels
-carried from construction; a numeric rank test confirms a facet only where
-the labels are degenerate.  Both triangulations are measured by the same
-batched QR.
+codimension come from every support system at once, decided by the exact
+signs of its codim x codim minors, and are measured over their pulling
+triangulation (De Loera, Rambau & Santos, Triangulations, 4.3), whose
+facets are the inclusion-maximal classes of the exact zero-coordinate
+labels carried from construction.  Both triangulations are measured by the
+same batched QR.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 
-from . import linalg
 from .closed_form import Direction, VolumeResult
 from .errors import (
     DegeneratePolytope,
@@ -39,7 +39,6 @@ from .errors import (
 )
 from .subspaces import SubspaceBasis
 
-ZERO_COORD_TOL = 1e-12
 MAX_ENUM_N = 12
 MAX_ENUM_CODIM = 4
 
@@ -76,7 +75,7 @@ def regular_simplex(n: int) -> SimplexSpec:
 def general_simplex(vertex_matrix) -> SimplexSpec:
     m = np.array(vertex_matrix, dtype=float)
     n = m.shape[0] - 1
-    if abs(linalg.det(m)) < 1e-12:
+    if abs(np.linalg.det(m)) < 1e-12:
         raise ValueError("vertex matrix is singular")
     return SimplexSpec(n=n, vertices=m, is_regular=bool(np.allclose(m, np.eye(n + 1))))
 
@@ -182,14 +181,45 @@ def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
     )
 
 
+def _minors(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The c x c minors m[:, cols[s]] of a (c, n+1) matrix, exact in sign.
+
+    Each minor is its Leibniz sum of c! products of c entries, so its float
+    value is off the exact one by less than (c + c!) u sum|terms|, u the
+    unit roundoff, as long as no product underflows.  A value within twice
+    that of 0 is recomputed in rationals, where its sign and its zero are
+    exact: a floating-point filter in front of an exact predicate (Fortune
+    & Van Wyk 1993; Shewchuk 1997).
+    """
+    c = m.shape[0]
+    perms = np.array(list(permutations(range(c))))
+    signs = np.rint(np.linalg.det(np.eye(c)[perms])).astype(int)
+    sub = m[:, cols]  # (c, K, c): sub[i, s, j] = m[i, cols[s, j]]
+    factors = sub[np.arange(c), :, perms]  # (c!, c, K)
+    terms = signs[:, None] * np.prod(factors, axis=1)
+    det = terms.sum(axis=0)
+    bound = (c + len(perms)) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
+    # a minor whose every term has an exact zero factor is exactly 0 already
+    live = (factors != 0.0).all(axis=1).any(axis=0)
+    for s in np.flatnonzero((np.abs(det) <= bound) & live):
+        f = [[Fraction(x) for x in row] for row in sub[:, s].tolist()]
+        det[s] = float(sum(sg * math.prod(f[i][j] for i, j in enumerate(p))
+                           for p, sg in zip(perms.tolist(), signs.tolist())))
+    return det
+
+
 def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPolytope:
     """Vertices of H intersected with the simplex, H of any codimension.
 
-    Basic feasible solutions of {lambda >= 0, sum lambda = 1, A V lambda = 0}:
-    every support of size codim+1 contributes the solution of the square
-    system on that support when it is nonnegative.  All supports are solved
-    in one stacked call; a support whose system has singular values
-    s_min <= PIVOT_RTOL * s_max is skipped.
+    Basic feasible solutions of {lambda >= 0, sum lambda = 1, A V lambda = 0}.
+    On a support T of size codim+1, Cramer's rule along the row of ones
+    gives lambda on T proportional to w_t = (-1)^t det((A V) on T without
+    its t-th index), t = 0..codim, a minor whose sign is exact (`_minors`).
+    T gives a vertex when its w are not all zero and no two have opposite
+    signs; then lambda = |w| / sum|w| and its zero labels are the exact
+    zeros of w.
+    Supports that give one vertex share its zero set; the first is kept.
+    The dimension is the length of a chain of facets down to one vertex.
     """
     codim = basis.codim
     if codim > MAX_ENUM_CODIM or spec.n > MAX_ENUM_N:
@@ -198,31 +228,48 @@ def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPol
         )
     if codim > spec.n - 1 + 1:
         raise OutOfRange("codimension exceeds the section dimension range")
+    n1 = spec.n + 1
     m_constraints = basis.vectors @ spec.vertices  # (codim, n+1) in barycentric terms
-    supports = np.array(list(combinations(range(spec.n + 1), codim + 1)))  # (S, codim+1)
-    systems = np.concatenate(
-        [np.ones((len(supports), 1, codim + 1)), m_constraints[:, supports].transpose(1, 0, 2)],
-        axis=1,
-    )  # row 0: sum lambda = 1; rows 1..codim: A V lambda = 0
-    s = np.linalg.svd(systems, compute_uv=False)
-    regular = s[:, -1] > linalg.PIVOT_RTOL * s[:, 0]
-    supports = supports[regular]
-    rhs = np.zeros((codim + 1, 1))
-    rhs[0] = 1.0
-    sol = np.linalg.solve(systems[regular], rhs)[..., 0]
-    feasible = np.min(sol, axis=1) >= -1e-12
-    if not feasible.any():
+    colsets = np.array(list(combinations(range(n1), codim)))
+    row_of = np.zeros((n1,) * codim, dtype=np.intp)  # row_of[colset]: its row in `colsets`
+    row_of[tuple(colsets.T)] = np.arange(len(colsets))
+    supports = np.array(list(combinations(range(n1), codim + 1)))  # (S, codim+1)
+    drop = np.array([np.delete(np.arange(codim + 1), t) for t in range(codim + 1)])
+    w = _minors(m_constraints, colsets)[row_of[tuple(np.moveaxis(supports[:, drop], 2, 0))]]
+    w[:, 1::2] *= -1.0
+    vertex = (w > 0).any(axis=1) != (w < 0).any(axis=1)
+    if not vertex.any():
         raise EmptySection("subspace misses the simplex")
-    lam = np.zeros((int(feasible.sum()), spec.n + 1))
-    np.put_along_axis(lam, supports[feasible], np.clip(sol[feasible], 0.0, None), axis=1)
-    # a vertex is the only feasible point with its support, so supports that
-    # solve to one vertex share its zero set; the first of each is kept
+    w, supports = np.abs(w[vertex]), supports[vertex]
+    lam = np.zeros((len(w), n1))
+    np.put_along_axis(lam, supports, w / w.sum(axis=1, keepdims=True), axis=1)
+    zero = np.ones(lam.shape, dtype=bool)
+    np.put_along_axis(zero, supports, w == 0.0, axis=1)
     first: dict[frozenset[int], int] = {}
-    for i, row in enumerate(lam <= ZERO_COORD_TOL):
+    for i, row in enumerate(zero):
         first.setdefault(frozenset(np.flatnonzero(row).tolist()), i)
-    points = (lam @ spec.vertices.T)[list(first.values())]
-    dim = linalg.rank(points - points.mean(axis=0)) if len(points) > 1 else 0
-    return SectionPolytope(dim=dim, vertices=points, zero_sets=tuple(first))
+    keep = list(first.values())
+    zero = zero[keep]
+    dim, face = 0, tuple(range(len(keep)))
+    while len(face) > 1:
+        face, dim = _facets(zero, face)[0], dim + 1
+    return SectionPolytope(dim=dim, vertices=lam[keep] @ spec.vertices.T, zero_sets=tuple(first))
+
+
+def _facets(labels: np.ndarray, face: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The facets of a face: its inclusion-maximal proper label classes.
+
+    Class j of a face is its vertices with label j.  Every face of a section
+    is cut out by some of its constraints lambda_j = 0, so every facet is a
+    class, and a proper class inside no other proper class is a facet.
+    Facets come in the order of their first label.
+    """
+    idx = np.array(face)
+    on = labels[idx]
+    proper = np.flatnonzero(on.any(axis=0) & ~on.all(axis=0))
+    classes = list(dict.fromkeys(tuple(idx[on[:, j]].tolist()) for j in proper))
+    sets = [frozenset(c) for c in classes]
+    return [c for c, s in zip(classes, sets) if not any(s < t for t in sets)]
 
 
 def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
@@ -230,16 +277,12 @@ def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
 
     A face pulls its first vertex and is coned from it over its facets that
     miss it, each triangulated the same way (De Loera, Rambau & Santos,
-    Triangulations, 4.3).  Facet j of a face is its vertices whose zero set
-    contains j.  When every vertex has exactly dim labels the section is
-    simple and every such proper, nonempty class is a facet; otherwise a
-    class is kept only when its affine rank is one below the face's.
+    Triangulations, 4.3).  The facets are the inclusion-maximal proper
+    label classes (`_facets`), which is exact because the labels are.
     """
     labels = np.zeros((poly.vertex_count, poly.vertices.shape[1]), dtype=bool)
     for i, zs in enumerate(poly.zero_sets):
         labels[i, list(zs)] = True
-    simple = bool(np.all(labels.sum(axis=1) == poly.dim))
-    verts = poly.vertices
     cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def triangulate(face: tuple[int, ...], d: int) -> np.ndarray:
@@ -249,20 +292,7 @@ def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
             return np.array([face])
         if face in cache:
             return cache[face]
-        idx = np.array(face)
-        on = labels[idx]
-        seen: set[tuple[int, ...]] = set()
-        cones = []
-        for j in np.flatnonzero(on.any(axis=0) & ~on.all(axis=0)):
-            sub = tuple(idx[on[:, j]].tolist())
-            if sub in seen or sub[0] == face[0]:  # seen, or holds the pulled vertex
-                continue
-            if not simple:
-                sub_pts = verts[list(sub)]
-                if len(sub) < d or linalg.rank(sub_pts - sub_pts.mean(axis=0)) != d - 1:
-                    continue
-            seen.add(sub)
-            cones.append(triangulate(sub, d - 1))
+        cones = [triangulate(sub, d - 1) for sub in _facets(labels, face) if sub[0] != face[0]]
         if not cones:
             raise DegeneratePolytope("no proper facets found")
         base = np.concatenate(cones)
@@ -325,7 +355,7 @@ def simplex_volume(spec: SimplexSpec) -> float:
         return math.sqrt(spec.n + 1.0) / math.factorial(spec.n)
     w = spec.vertices[:, 1:] - spec.vertices[:, :1]
     gram = w.T @ w
-    return math.sqrt(max(linalg.det(gram), 0.0)) / math.factorial(spec.n)
+    return math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(spec.n)
 
 
 def face_volumes(spec: SimplexSpec) -> np.ndarray:
@@ -335,7 +365,7 @@ def face_volumes(spec: SimplexSpec) -> np.ndarray:
         others = [i for i in range(spec.n + 1) if i != j]
         w = spec.vertices[:, others[1:]] - spec.vertices[:, others[:1]]
         gram = w.T @ w
-        out[j] = math.sqrt(max(linalg.det(gram), 0.0)) / math.factorial(spec.n - 1)
+        out[j] = math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(spec.n - 1)
     return out
 
 

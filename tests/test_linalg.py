@@ -43,49 +43,6 @@ def test_gram_schmidt_rank_deficient():
         linalg.gram_schmidt([[1.0, 2.0], [2.0, 4.0]])
 
 
-def _cofactor_det3(m):
-    m = np.asarray(m, dtype=float)
-    return (
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
-
-
-def test_det_identity():
-    assert linalg.det(np.eye(4)) == pytest.approx(1.0, abs=0)
-
-
-def test_det_against_cofactor_expansion():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        m = rng.standard_normal((3, 3))
-        assert linalg.det(m) == pytest.approx(_cofactor_det3(m), rel=1e-11, abs=1e-13)
-
-
-def test_det_product_rule():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        a = rng.standard_normal((6, 6))
-        b = rng.standard_normal((6, 6))
-        lhs = linalg.det(a @ b)
-        rhs = linalg.det(a) * linalg.det(b)
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=0)
-
-
-def test_det_compressed_simplex_vertex_matrix():
-    # vertex matrix of the delta-compressed simplex, n+1 = 6, delta = -0.1
-    n, delta = 5, -0.1
-    w = np.concatenate([np.ones(3), -np.ones(3)])
-    m = np.eye(n + 1) + delta * np.outer(w, w)
-    assert linalg.det(m) == pytest.approx(1.0 + (n + 1) * delta, abs=1e-12)
-    assert linalg.det(m) == pytest.approx(0.4, abs=1e-12)
-
-
-def test_det_singular_is_zero():
-    assert linalg.det([[1.0, 2.0], [2.0, 4.0]]) == pytest.approx(0.0, abs=1e-14)
-
-
 def test_extend_to_orthonormal_basis():
     rng = np.random.default_rng(4)
     base = linalg.gram_schmidt(rng.standard_normal((2, 6)))
@@ -148,9 +105,3 @@ def test_extend_rank_deficient():
         linalg.extend_to_orthonormal_basis(np.eye(3)[[0, 1, 2, 0]], 3)
     with pytest.raises(RankDeficient):
         linalg.extend_to_orthonormal_basis([np.zeros(4)], 4)
-
-
-def test_rank():
-    assert linalg.rank(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])) == 2
-    assert linalg.rank(np.array([[1.0, 2.0], [2.0, 4.0]])) == 1
-    assert linalg.rank(np.zeros((3, 3))) == 0

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from test_closed_form import _exact_residue_sum
 
 from simplex_sections import closed_form as cf
@@ -15,6 +16,7 @@ from simplex_sections.errors import (
     NotSupported,
     OutOfRange,
     PointSection,
+    RankDeficient,
     ZeroHits,
 )
 
@@ -151,6 +153,7 @@ def _pivoted_solve(a, b):
 
 
 VERTEX_DEDUP_TOL = 1e-10
+ZERO_COORD_TOL = 1e-12
 
 
 def _reference_enumeration(spec, basis):
@@ -170,7 +173,7 @@ def _reference_enumeration(spec, basis):
         lam = np.zeros(spec.n + 1)
         lam[list(support)] = np.clip(sol, 0.0, None)
         p = spec.vertices @ lam
-        z = frozenset(j for j in range(spec.n + 1) if lam[j] <= oracle.ZERO_COORD_TOL)
+        z = frozenset(j for j in range(spec.n + 1) if lam[j] <= ZERO_COORD_TOL)
         for i, q in enumerate(points):
             if np.max(np.abs(p - q)) < VERTEX_DEDUP_TOL:
                 zsets[i] = zsets[i] | z
@@ -212,6 +215,147 @@ def test_batched_enumeration_matches_per_support_loop():
         poly = oracle.kdim_section_vertices(spec, basis)
         assert list(poly.zero_sets) == want_zs
         assert np.max(np.abs(poly.vertices - want_pts)) <= 1e-12
+
+
+def _codim1_directions():
+    # normals from the hard regions: near ties of two and three positive
+    # coordinates, a tiny or an exactly zero coordinate, and K close to 1
+    rng = np.random.default_rng(23)
+    for n in range(3, 11):
+        p = rng.uniform(0.2, 1.0, max(3, (n + 1) // 2))
+        v = np.concatenate([p, -rng.uniform(0.2, 1.0, n + 1 - len(p))])
+        gap = 10.0 ** rng.uniform(-9.0, -4.0)
+        pair = v.copy()
+        pair[1] = pair[0] * (1.0 + gap)
+        triple = pair.copy()
+        triple[2] = pair[0] * (1.0 + 2.0 * gap)
+        near, zero = v.copy(), v.copy()  # two positive coordinates stay
+        near[len(p) - 1] = 10.0 ** rng.uniform(-13.0, -9.0) * rng.choice([-1.0, 1.0])
+        zero[len(p) - 1] = 0.0
+        k_near_1 = cf.random_direction_fixed_sum(n, 1.0 - 10.0 ** rng.uniform(-6.0, -2.0), rng)
+        yield from (pair, triple, near, zero, k_near_1.a)
+
+
+def test_kdim_codim1_matches_hyperplane_path():
+    for a in _codim1_directions():
+        spec = oracle.regular_simplex(len(a) - 1)
+        want = oracle.hyperplane_section_vertices(spec, a)
+        got = oracle.kdim_section_vertices(spec, subspaces.hyperplane_basis(a))
+        assert got.dim == want.dim
+        assert sorted(map(sorted, got.zero_sets)) == sorted(map(sorted, want.zero_sets))
+        want_value = oracle.polytope_volume(want).value
+        assert oracle.polytope_volume(got).value == pytest.approx(want_value, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("thickness", [1e-11, 1e-9])
+def test_kdim_thin_square_keeps_its_dimension(thickness):
+    # the section of [1, 1, -t, -t] is a square of side ~t: thin, yet 2-dim;
+    # its volume is only as good as the differences of its close vertices
+    a = np.array([1.0, 1.0, -thickness, -thickness])
+    spec = oracle.regular_simplex(3)
+    poly = oracle.kdim_section_vertices(spec, subspaces.hyperplane_basis(a))
+    assert (poly.vertex_count, poly.dim) == (4, 2)
+    want = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, a)).value
+    assert oracle.polytope_volume(poly).value == pytest.approx(want, rel=1e-4, abs=0)
+
+
+def _rational_solve(a, b):
+    """Gauss-Jordan elimination in rationals; None when `a` is singular."""
+    rows = [list(r) + [y] for r, y in zip(a, b)]
+    k = len(rows)
+    for col in range(k):
+        piv = next((r for r in range(col, k) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        for r in range(k):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col] / rows[col][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[col])]
+    return [rows[i][k] / rows[i][i] for i in range(k)]
+
+
+def _rational_rank(rows):
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _exact_enumeration(spec, basis):
+    """One support at a time, solved in rationals: the vertices (rounded once),
+    their exact zero sets and the exact dimension."""
+    n1 = spec.n + 1
+    cons = [[Fraction(x) for x in row] for row in (basis.vectors @ spec.vertices).tolist()]
+    rhs = [Fraction(1)] + [Fraction(0)] * basis.codim
+    found: dict[tuple, frozenset[int]] = {}  # exact lambda -> zero set, first come
+    for support in combinations(range(n1), basis.codim + 1):
+        system = [[Fraction(1)] * len(support)] + [[row[t] for t in support] for row in cons]
+        sol = _rational_solve(system, rhs)
+        if sol is None or min(sol) < 0:
+            continue
+        lam = [Fraction(0)] * n1
+        for t, x in zip(support, sol):
+            lam[t] = x
+        found.setdefault(tuple(lam), frozenset(j for j in range(n1) if lam[j] == 0))
+    lams = list(found)
+    verts = [[Fraction(x) for x in row] for row in spec.vertices.tolist()]
+    points = np.array([[float(sum(v * x for v, x in zip(row, lam))) for row in verts]
+                       for lam in lams])
+    dim = _rational_rank([[x - y for x, y in zip(lam, lams[0])] for lam in lams[1:]])
+    return points, list(found.values()), dim
+
+
+@st.composite
+def _degenerate_subspaces(draw):
+    """Codim-2 and -3 subspaces through the centroid whose basis has a zero
+    column, two parallel columns, or two columns one ulp apart.
+
+    A column of the basis is the constraint row r_j of vertex j; Gram-Schmidt
+    keeps zero and power-of-two-parallel columns exact.  Every minor on such
+    a pair is zero or within rounding of it, so each input reaches the
+    oracle's rational fallback.
+    """
+    n = draw(st.integers(3, 7))
+    codim = draw(st.integers(2, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    rows = np.array(draw(st.lists(row, min_size=codim, max_size=codim)), dtype=float)
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["zero", "parallel", "ulp"]))
+    factor = {"zero": st.just(0.0), "ulp": st.just(1.0)}.get(
+        kind, st.sampled_from([1.0, -1.0, 2.0, -0.5]))
+    rows[:, j] = rows[:, i] * draw(factor)
+    rows[:, n] -= rows.sum(axis=1)  # integer rows, so they sum to 0 exactly
+    try:
+        q = np.array(linalg.gram_schmidt(rows))
+    except RankDeficient:
+        assume(False)
+    if kind == "ulp":
+        q[:, j] = np.where(q[:, i] != 0.0, np.nextafter(q[:, i], np.inf), 0.0)
+    return subspaces.SubspaceBasis(n=n, vectors=q)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_degenerate_subspaces())
+def test_kdim_enumeration_matches_exact_rationals(basis):
+    spec = oracle.regular_simplex(basis.n)
+    points, zero_sets, dim = _exact_enumeration(spec, basis)
+    if not zero_sets:
+        with pytest.raises(EmptySection):
+            oracle.kdim_section_vertices(spec, basis)
+        return
+    poly = oracle.kdim_section_vertices(spec, basis)
+    assert poly.dim == dim
+    assert list(poly.zero_sets) == zero_sets
+    assert np.max(np.abs(poly.vertices - points)) <= 1e-12
 
 
 # --- polytope volume -----------------------------------------------------------
@@ -295,7 +439,7 @@ def test_kdim_volume_stable_under_vertex_order_and_rounding():
 def test_pulling_refuses_label_classes_that_are_not_facets():
     # the section of [1, 1, -1, 0] is the triangle e_3 v_02 v_12; label 2 marks
     # only e_3, a vertex rather than an edge, so once e_3 is not pulled first
-    # the rank test must refuse that class
+    # maximality must refuse that class
     spec = oracle.regular_simplex(3)
     poly = oracle.hyperplane_section_vertices(spec, np.array([1.0, 1.0, -1.0, 0.0]))
     want = oracle.polytope_volume(poly).value

@@ -42,8 +42,8 @@ def test_hyperplane_rejects_one_signed():
 
 
 def test_hyperplane_sign_check_is_exact():
-    # the lone negative coordinate lies below Direction.zero_tol(), yet the
-    # section is not empty: quadrature must integrate it, not reject it
+    # the lone negative coordinate is 1e-12 of the largest, yet the section
+    # is not empty: quadrature must integrate it, not reject it
     d = cf.Direction.make([0.6, 0.5, 0.4, 0.3, -5e-13], canonicalize=False)
     q = quadrature.hyperplane_volume_quadrature(d, 1e-9)
     r = cf.residue_volume(d)
