@@ -75,7 +75,18 @@ def _emit(rec: dict, path: str | None):
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    return np.array([float(tok) for tok in text.split(",")], dtype=float)
+    try:
+        return np.array([float(tok) for tok in text.split(",")], dtype=float)
+    except ValueError as exc:
+        raise SystemExit2(f"malformed vector {text!r}") from exc
+
+
+def _build(make, *args, **kwargs):
+    """Construct an input object; its ValueError (zero, non-finite) is a usage error."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
 
 
 def _load_direction(args) -> cf.Direction:
@@ -94,7 +105,7 @@ def _load_direction(args) -> cf.Direction:
         raise SystemExit2("need --a, --a-file or --special")
     if args.n is not None and vec.size != args.n + 1:
         raise SystemExit2(f"vector length {vec.size} does not match n={args.n}")
-    return cf.Direction.make(vec, normalize=not args.exact_norm, canonicalize=False)
+    return _build(cf.Direction.make, vec, normalize=not args.exact_norm, canonicalize=False)
 
 
 class SystemExit2(Exception):
@@ -544,7 +555,7 @@ def cmd_convert(args) -> int:
     rec = _record("convert", {}, not args.no_timestamp)
     if args.central is not None:
         a0 = _parse_vector(args.central)
-        form = cf.CentralForm.make(a0, args.t)
+        form = _build(cf.CentralForm.make, a0, args.t)
         b = cf.central_to_embedded(form)
         rec["inputs"] = {"central": a0.tolist(), "t": args.t}
         rec["results"] = [
@@ -552,8 +563,8 @@ def cmd_convert(args) -> int:
              "embedded": np.asarray(b.a).tolist(), "ksum": b.ksum}
         ]
     elif args.b is not None:
-        b = cf.Direction.make(_parse_vector(args.b), normalize=not args.exact_norm,
-                              canonicalize=False)
+        b = _build(cf.Direction.make, _parse_vector(args.b), normalize=not args.exact_norm,
+                   canonicalize=False)
         form = cf.embedded_to_central(b)
         rec["inputs"] = {"b": np.asarray(b.a).tolist()}
         rec["results"] = [

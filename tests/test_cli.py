@@ -109,6 +109,30 @@ def test_volume_usage_error():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--n", "3", "--a", "0,0,0,0"],
+        ["volume", "--n", "3", "--a", "1,inf,-1,0"],
+        ["convert", "--b", "0.5,nan,-0.5,0.1"],
+        ["convert", "--central", "0,0,0,0", "--t", "0.1"],
+    ],
+    ids=["volume-zero", "volume-inf", "convert-b-nan", "convert-central-zero"],
+)
+def test_degenerate_vector_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--no-timestamp"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("eps", ["inf", "nan"])
+def test_volume_mc_nonfinite_eps(eps, capsys):
+    rc = cli.main(["volume", "--n", "3", "--a", "0.5,0.5,-0.5,-0.5", "--methods", "mc",
+                   "--eps", eps, "--no-timestamp"])
+    assert rc == 3
+    assert "OutOfRange" in capsys.readouterr().err
+
+
 def test_volume_numeric_error_exit_code():
     proc = run_cli("volume", "--n", "3", "--a", "1,1,1,1", "--methods", "residue",
                    "--no-timestamp")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -654,14 +655,20 @@ def test_slab_matches_residue_random():
 
 
 def _slab_reference(spec, b, eps, samples, seed):
-    """The slab estimate with the spacings formed: sort, diff, map, dot."""
-    u = np.sort(np.random.default_rng(seed).random((samples, spec.n)), axis=1)
-    lam = np.diff(u, axis=1, prepend=0.0, append=1.0)
-    p = np.count_nonzero(np.abs(lam @ spec.vertices.T @ b) <= eps) / samples
+    """The slab estimate with the Dirichlet points formed: E / sum(E), map, dot.
+
+    None when no sample hits, where the estimator raises ZeroHits.
+    """
+    e = np.random.default_rng(seed).standard_exponential((samples, spec.n + 1))
+    lam = e / e.sum(1, keepdims=True)
+    hits = np.count_nonzero(np.abs(lam @ spec.vertices.T @ b) <= eps)
+    if hits == 0:
+        return None
     b_par = math.sqrt(b @ b - b.sum() ** 2 / (spec.n + 1.0))
-    return p * (oracle.simplex_volume(spec) * b_par / (2.0 * eps))
+    return hits / samples * (oracle.simplex_volume(spec) * b_par / (2.0 * eps))
 
 
+@pytest.mark.parametrize("samples", [1, 2**16, 2**16 + 1, 100_000])
 @pytest.mark.parametrize(
     "spec, b",
     [
@@ -670,9 +677,44 @@ def _slab_reference(spec, b, eps, samples, seed):
     ],
     ids=["regular", "general"],
 )
-def test_slab_matches_spacing_reference(spec, b):
-    got = oracle.monte_carlo_slab_volume(spec, b, eps=0.01, samples=100_000, seed=11)
-    assert got.value == _slab_reference(spec, b, 0.01, 100_000, 11)
+def test_slab_matches_dirichlet_reference(spec, b, samples):
+    # chunked exponential fills consume the stream like one (samples, n+1) draw
+    want = _slab_reference(spec, b, 0.01, samples, 11)
+    if want is None:
+        with pytest.raises(ZeroHits):
+            oracle.monte_carlo_slab_volume(spec, b, eps=0.01, samples=samples, seed=11)
+        return
+    got = oracle.monte_carlo_slab_volume(spec, b, eps=0.01, samples=samples, seed=11)
+    assert got.value == want
+
+
+def test_slab_matches_oracle_general_simplex():
+    spec = irregular.compressed_simplex(5, -0.1).spec()
+    b = np.array([0.6, -0.2, 0.3, -0.5, 0.1, -0.2])
+    want = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, b)).value
+    res = oracle.monte_carlo_slab_volume(spec, b, eps=0.005, samples=10**6, seed=29)
+    assert abs(res.value - want) <= 3 * res.err
+
+
+def test_slab_memory_is_one_chunk():
+    # the draws live in one fixed buffer, not in (samples, n+1) temporaries
+    a = cf.random_direction_fixed_sum(10, 0.3, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        oracle.monte_carlo_slab_volume(oracle.regular_simplex(10), a, 0.005, 10**6, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.01])
+def test_slab_rejects_bad_eps(eps):
+    with pytest.raises(OutOfRange):
+        oracle.monte_carlo_slab_volume(
+            oracle.regular_simplex(3), cf.Direction.make([0.5, 0.5, -0.5, -0.5]),
+            eps=eps, samples=1000, seed=1,
+        )
 
 
 def test_slab_zero_hits():
