@@ -82,11 +82,20 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _build(make, *args, **kwargs):
-    """Construct an input object; its ValueError (zero, non-finite) is a usage error."""
+    """Construct an input object; its ValueError (zero, non-finite, ...) is a usage error."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
+
+
+def _load_key(path: str, key: str):
+    """The `key` entry of the JSON object in `path`; a missing key is a usage error."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict) or key not in data:
+        raise SystemExit2(f"{path}: no {key!r} entry")
+    return data[key]
 
 
 def _load_direction(args) -> cf.Direction:
@@ -98,9 +107,7 @@ def _load_direction(args) -> cf.Direction:
     if args.a is not None:
         vec = _parse_vector(args.a)
     elif args.a_file is not None:
-        with open(args.a_file) as fh:
-            data = json.load(fh)
-        vec = np.asarray(data["a"], dtype=float)
+        vec = _build(np.asarray, _load_key(args.a_file, "a"), dtype=float)
     else:
         raise SystemExit2("need --a, --a-file or --special")
     if args.n is not None and vec.size != args.n + 1:
@@ -147,9 +154,8 @@ def cmd_volume(args) -> int:
     rec = _record("volume", {}, not args.no_timestamp)
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     if args.basis_file:
-        with open(args.basis_file) as fh:
-            data = json.load(fh)
-        basis = subspaces.basis_from_rows(data["basis"], orthonormalize=not args.exact_norm)
+        basis = _build(subspaces.basis_from_rows, _load_key(args.basis_file, "basis"),
+                       orthonormalize=not args.exact_norm)
         rec["inputs"] = {
             "n": basis.n,
             "basis": np.asarray(basis.vectors).tolist(),

@@ -6,7 +6,8 @@ coordinates of an orthonormal basis of H-perp.  Codimension 1 reduces to a
 line integral of an even real part, folded from [0, inf) onto [0, 1];
 codimension 2 is a tensor integral over the tangent-compactified square.
 Both run on one adaptive Gauss-pair driver, `_adaptive`.  Higher
-codimension is served by the vertex-enumeration oracle instead.
+codimension is served by the vertex-enumeration oracle instead; the
+Monte Carlo check `monte_carlo_cone_volume` takes any codimension.
 """
 from __future__ import annotations
 
@@ -22,6 +23,8 @@ from .subspaces import SubspaceBasis
 
 MAX_DEPTH = 40
 CHUNK = 64  # cells per integrand call; keeps each square temporary near 2 MB at n = 8
+CONE_CHUNK = 2**16  # Monte Carlo rows per exponential fill; 4.5 MiB of draws at k = 9
+CONE_ROUND_U = 64  # unit roundoffs allowed for the prefactor, det B_J and the weight sums
 
 _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
@@ -242,49 +245,86 @@ def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeRes
     )
 
 
-def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> VolumeResult:
-    """Monte Carlo check of the exponential-integral volume representation.
+def _pivot_columns(b: np.ndarray) -> list[int]:
+    """c column indices of the (c, n+1) matrix `b` chosen by greedy pivoting.
 
-    vol_k of the cone slice H intersect {x >= 0, weighted by exp(-sum x)}
-    is estimated by importance sampling with an isotropic multivariate
-    Cauchy proposal in H-coordinates (heavy tails keep the weight variance
-    finite on the unbounded cone), then converted to the section volume via
-    the origin distance and the pyramid formula.  err is one standard error.
+    Each of c Gram-Schmidt steps takes the column with the largest residual
+    norm (the first on ties) and projects it out of the others, so the
+    chosen square block is far from singular.
+    """
+    res = np.array(b, dtype=float)
+    picked = []
+    for _ in range(b.shape[0]):
+        j = int(np.argmax(np.einsum("ij,ij->j", res, res)))
+        picked.append(j)
+        q = res[:, j] / math.sqrt(res[:, j] @ res[:, j])
+        res -= np.outer(q, q @ res)
+    return sorted(picked)
+
+
+def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> VolumeResult:
+    """Monte Carlo section volume by conditioning on a face of the simplex.
+
+    A uniform point X of the simplex is Dirichlet(1, ..., 1).  Split the
+    coordinates into c = codim pivot indices J (`_pivot_columns` on B =
+    basis.vectors) and the other k = n+1-c indices R.  Then lambda_R / (1 -
+    sum lambda_J) = E / S is uniform on the face of R and independent of
+    lambda_J, for E in R^k i.i.d. standard exponential and S = sum E
+    (Devroye, Non-Uniform Random Variate Generation, ch. 5).  Given E, BX = 0
+    has one solution: lambda_J = mu G E / S with G = -B_J^-1 B_R and
+    mu = S / (S + 1'GE), which lies in the simplex exactly when GE >= 0 (the
+    face point is in the cone {E >= 0 : GE >= 0}).  lambda_J has density
+    n!/(k-1)! (1 - sum lambda_J)^(k-1) and |det[b_j - B_R E/S]_J| =
+    |det B_J| / mu, so BX has density n!/(k-1)! mu^k / |det B_J| at 0 given
+    E.  As vol_n(simplex) sqrt(det(B P B')) n!/(k-1)! = `_direct_prefactor`
+    (P = I - 11'/(n+1)),
+
+        vol = _direct_prefactor(basis) / |det B_J| * E[mu^k 1{GE >= 0}],
+
+    with weights mu^k in (0, 1].  Hits are decided by the exact sign of GE.
+    The draws fill one buffer of at most CONE_CHUNK rows in turn and
+    consume the stream as a single (samples, k) draw would; one product
+    with W = [G' | 1 | 1 + G'1], taken transposed, gives GE, S and S + 1'GE
+    as contiguous rows.
+
+    err is one standard error plus a rounding term: on a hit mu carries a
+    relative rounding of at most (2k + c + 1)(1 + g) u to first order, g the
+    largest column sum of |G| (as computed); mu^k multiplies it by k and its
+    k - 1 products add k u at most; the prefactor, det B_J and the sums add
+    CONE_ROUND_U u.
     """
     if samples < 1000:
         raise OutOfRange("samples >= 1000 required")
-    k = basis.k
-    h_rows = basis.h_basis()  # (k, n+1)
-    log_cnorm = math.lgamma((k + 1) / 2.0) - (k + 1) / 2.0 * math.log(math.pi)
+    b = np.asarray(basis.vectors, dtype=float)
+    c, k = basis.codim, basis.k
+    cols = _pivot_columns(b)
+    rest = [j for j in range(basis.n + 1) if j not in cols]  # np.setdiff1d: ~18 ms first call
+    bj = b[:, cols]
+    g = -np.linalg.solve(bj, b[:, rest])  # (c, k)
+    wt = np.vstack([g, np.ones(k), 1.0 + g.sum(axis=0)])  # W' = [G' | 1 | 1 + G'1]', shape (c+2, k)
     rng = np.random.default_rng(seed)
-
-    total_w = 0.0
-    total_w2 = 0.0
-    hits = 0
-    done = 0
-    batch = 200_000
-    while done < samples:
-        m = min(batch, samples - done)
-        z = rng.standard_normal((m, k))
-        g = rng.standard_normal(m)
-        g = np.where(np.abs(g) < 1e-300, 1e-300, g)
-        u = z / np.abs(g)[:, None]
-        x = u @ h_rows
-        inside = np.all(x >= -1e-12, axis=1)
-        hits += int(np.count_nonzero(inside))
-        if np.any(inside):
-            ui = u[inside]
-            xi = x[inside]
-            log_q = log_cnorm - (k + 1) / 2.0 * np.log1p(np.sum(ui * ui, axis=1))
-            w = np.exp(-np.sum(xi, axis=1) - log_q)
-            total_w += float(np.sum(w))
-            total_w2 += float(np.sum(w * w))
-        done += m
+    buf = np.empty((min(samples, CONE_CHUNK), k))
+    hits, total_w, total_w2 = 0, 0.0, 0.0
+    for lo in range(0, samples, CONE_CHUNK):
+        e = buf[: min(CONE_CHUNK, samples - lo)]
+        rng.standard_exponential(out=e)
+        s = wt @ e.T  # (e W)' as rows GE, S and S + 1'GE: contiguous, no short-row reductions
+        hit = s[0] >= 0.0
+        for row in s[1:c]:
+            hit &= row >= 0.0
+        mu = np.compress(hit, s[c]) / np.compress(hit, s[c + 1])
+        w = mu.copy()
+        for _ in range(k - 1):  # mu^k by k-1 products: np.power costs 10x more
+            w *= mu
+        hits += mu.size
+        total_w += float(w.sum())
+        total_w2 += float((w * w).sum())  # pairwise, as w.sum(); a BLAS dot would vary with threads
     if hits == 0:
-        raise ZeroHits("no Monte Carlo sample landed in the nonnegative cone")
+        raise ZeroHits("no Monte Carlo sample landed in the cone")
     mean_w = total_w / samples
-    var_w = max(total_w2 / samples - mean_w * mean_w, 0.0)
-    se = math.sqrt(var_w / samples)
-    # cone estimate -> k-volume (divide k!) -> section volume (pyramid formula)
-    conv = _direct_prefactor(basis)
-    return VolumeResult(value=mean_w * conv, method="monte-carlo", err=se * conv)
+    se = math.sqrt(max(total_w2 / samples - mean_w * mean_w, 0.0) / samples)
+    conv = _direct_prefactor(basis) / abs(float(np.linalg.det(bj)))
+    value = mean_w * conv
+    gmax = float(np.abs(g).sum(axis=0).max())
+    rel = (k * (2 * k + c + 1) * (1.0 + gmax) + k + CONE_ROUND_U) * 2.0**-53
+    return VolumeResult(value=value, method="monte-carlo", err=se * conv + rel * value)

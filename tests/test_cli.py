@@ -125,6 +125,24 @@ def test_degenerate_vector_is_usage_error(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, content, extra",
+    [
+        ("--a-file", {"n": 3}, []),
+        ("--basis-file", {"n": 3}, []),
+        ("--basis-file", {"basis": []}, []),
+        ("--basis-file", {"basis": [[1, 1, 0, 0], [0, 1, 1, 0]]}, ["--exact-norm"]),
+    ],
+    ids=["a-file-no-a", "basis-file-no-basis", "basis-file-empty", "basis-file-not-orthonormal"],
+)
+def test_bad_input_file_is_usage_error(tmp_path, flag, content, extra):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(content))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["volume", flag, str(path), "--methods", "oracle", *extra, "--no-timestamp"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("eps", ["inf", "nan"])
 def test_volume_mc_nonfinite_eps(eps, capsys):
     rc = cli.main(["volume", "--n", "3", "--a", "0.5,0.5,-0.5,-0.5", "--methods", "mc",

@@ -1,5 +1,7 @@
 import heapq
+import itertools
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -7,7 +9,13 @@ import pytest
 
 from simplex_sections import closed_form as cf
 from simplex_sections import oracle, quadrature, subspaces
-from simplex_sections.errors import EmptySection, NotSupported, OutOfRange, TolUnreachable
+from simplex_sections.errors import (
+    EmptySection,
+    NotSupported,
+    OutOfRange,
+    TolUnreachable,
+    ZeroHits,
+)
 
 
 def test_hyperplane_matches_special_max():
@@ -277,6 +285,90 @@ def test_mc_cone_edge_case():
     basis = subspaces.complement_of_span([np.eye(4)[0], np.eye(4)[1]])
     res = quadrature.monte_carlo_cone_volume(basis, 200_000, seed=6)
     assert abs(res.value - math.sqrt(2)) <= 3 * res.err
+    # every weight is exactly 1, so no variance: err is the rounding term alone
+    assert res.err > 0
+    assert abs(res.value - math.sqrt(2)) <= res.err
+
+
+def test_mc_cone_exact_sign_hits_match_oracle():
+    # the complement carries +-7.2e-18 entries, which tilt H off the edge
+    # e1-e2: the exact section is half the edge, and a hit slack of even
+    # 1e-12 would count the whole edge (1.42, over 100 SE off)
+    e = np.eye(4)
+    basis = subspaces.complement_of_span(
+        [(e[1] + e[2]) / math.sqrt(2), (e[1] - e[2]) / math.sqrt(2)]
+    )
+    want = oracle.polytope_volume(oracle.kdim_section_vertices(oracle.regular_simplex(3), basis))
+    assert want.value == pytest.approx(math.sqrt(0.5), rel=1e-12, abs=0)
+    res = quadrature.monte_carlo_cone_volume(basis, 200_000, seed=6)
+    assert abs(res.value - want.value) <= 3 * res.err
+
+
+def _cone_reference(basis, samples, seed):
+    """The cone estimate from one (samples, k) exponential draw.
+
+    J maximizes |det B_J| by brute force over all column sets; the weight
+    sums are accumulated per CONE_CHUNK rows, as the estimator does.
+    """
+    b = basis.vectors
+    c, k = basis.codim, basis.k
+    cols = max(itertools.combinations(range(basis.n + 1), c),
+               key=lambda j: abs(np.linalg.det(b[:, list(j)])))
+    rest = [j for j in range(basis.n + 1) if j not in cols]
+    g = -np.linalg.solve(b[:, list(cols)], b[:, rest])
+    wt = np.vstack([g, np.ones(k), 1.0 + g.sum(axis=0)])
+    s = wt @ np.random.default_rng(seed).standard_exponential((samples, k)).T
+    hit = np.all(s[:c] >= 0.0, axis=0)
+    mu = np.zeros(samples)
+    mu[hit] = s[c][hit] / s[c + 1][hit]
+    w = mu.copy()
+    for _ in range(k - 1):
+        w *= mu
+    total, step = 0.0, quadrature.CONE_CHUNK
+    for lo in range(0, samples, step):
+        total += float(w[lo:lo + step][hit[lo:lo + step]].sum())
+    det = abs(float(np.linalg.det(b[:, list(cols)])))
+    return quadrature._direct_prefactor(basis) / det * (total / samples)
+
+
+@pytest.mark.parametrize("samples", [1000, 2**16, 2**16 + 1, 100_000])
+@pytest.mark.parametrize("n, codim", [(6, 2), (7, 3)])
+def test_mc_cone_matches_dirichlet_reference(n, codim, samples):
+    # chunked exponential fills consume the stream like one (samples, k) draw
+    basis = subspaces.random_subspace_through_centroid(n, n + 1 - codim,
+                                                       np.random.default_rng([3, n]))
+    got = quadrature.monte_carlo_cone_volume(basis, samples, seed=11)
+    assert got.value == _cone_reference(basis, samples, 11)
+
+
+def test_mc_cone_memory_is_one_chunk():
+    # the draws live in one fixed buffer, not in (samples, k) temporaries
+    basis = subspaces.random_subspace_through_centroid(10, 9, np.random.default_rng(8))
+    tracemalloc.start()
+    try:
+        quadrature.monte_carlo_cone_volume(basis, 10**6, seed=9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n", [4, 8, 12])
+@pytest.mark.parametrize("codim", [2, 3, 4])
+def test_mc_cone_accuracy_at_200k(n, codim):
+    basis = subspaces.random_subspace_through_centroid(n, n + 1 - codim,
+                                                       np.random.default_rng([21, n, codim]))
+    want = oracle.polytope_volume(oracle.kdim_section_vertices(oracle.regular_simplex(n), basis))
+    res = quadrature.monte_carlo_cone_volume(basis, 200_000, seed=n + codim)
+    assert res.err <= 1e-2 * res.value
+    assert abs(res.value - want.value) <= 4 * res.err
+
+
+def test_mc_cone_zero_hits():
+    # H = span{e0 - e1} misses the simplex: no face point lies in the cone
+    basis = subspaces.complement_of_span([np.eye(4)[0] - np.eye(4)[1]])
+    with pytest.raises(ZeroHits):
+        quadrature.monte_carlo_cone_volume(basis, 2_000, seed=1)
 
 
 def test_mc_cone_matches_kdim_quadrature():
