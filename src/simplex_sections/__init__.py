@@ -37,7 +37,6 @@ from .errors import (
     PointSection,
     RankDeficient,
     SimplexSectionError,
-    Singular,
     TolUnreachable,
     ZeroHits,
 )

@@ -82,17 +82,22 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _build(make, *args, **kwargs):
-    """Construct an input object; its ValueError (zero, non-finite, ...) is a usage error."""
+    """Construct an input object; its ValueError (zero, non-finite, ...) or
+    TypeError (a number where rows belong, ...) is a usage error."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise SystemExit2(str(exc)) from exc
 
 
 def _load_key(path: str, key: str):
-    """The `key` entry of the JSON object in `path`; a missing key is a usage error."""
-    with open(path) as fh:
-        data = json.load(fh)
+    """The `key` entry of the JSON object in `path`; an unreadable file, bad
+    JSON or a missing key is a usage error."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit2(f"{path}: {exc}") from exc
     if not isinstance(data, dict) or key not in data:
         raise SystemExit2(f"{path}: no {key!r} entry")
     return data[key]
@@ -137,8 +142,8 @@ VOLUME_METHODS = {
         "oracle": _oracle_volume(oracle.hyperplane_section_vertices),
         "quadrature": lambda a, spec, args: (
             quadrature.hyperplane_volume_quadrature(a, tol=args.tol), {}),
-        "mc": lambda a, spec, args: (
-            oracle.monte_carlo_slab_volume(spec, a, args.eps, args.samples, args.seed), {}),
+        "mc": lambda a, spec, args: (quadrature.monte_carlo_cone_volume(
+            quadrature.hyperplane_basis_of(a), args.samples, args.seed), {}),
     },
     "basis": {
         "oracle": _oracle_volume(oracle.kdim_section_vertices),
@@ -327,14 +332,9 @@ def _suite_formulas(n_max: int, trials: int, seed: int) -> list[dict]:
         worst_q = worst_o = 0.0
         for n in range(3, min(n_max, 7) + 1):
             spec = oracle.regular_simplex(n)
-
-            def one(i):
-                while True:
-                    a = cf.random_direction_fixed_sum(n, 0.0, rng)
-                    if a.positive_indices() and a.negative_indices():
-                        return a
-
-            for a in [one(i) for i in range(dirs)]:
+            for _ in range(dirs):
+                # a sum-zero unit vector has coordinates of both signs
+                a = cf.random_direction_fixed_sum(n, 0.0, rng)
                 rv = cf.residue_volume(a).value
                 qv = quadrature.hyperplane_volume_quadrature(a, 1e-8).value
                 ov = oracle.polytope_volume(
@@ -456,10 +456,8 @@ def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
         for _ in range(max(trials // 20, 50)):
             K = float(rng.uniform(0.0, 0.95))
             n = int(rng.integers(3, min(n_max, 8) + 1))
-            while True:
-                a = cf.random_direction_fixed_sum(n, K, rng)
-                if a.positive_indices() and a.negative_indices():
-                    break
+            # sum K in [0, 1) and norm 1 force coordinates of both signs
+            a = cf.random_direction_fixed_sum(n, K, rng)
             s1 = extremal.concentrate_transform(a, "negative")
             s2 = extremal.concentrate_transform(s1.transformed, "positive")
             f = cf.residue_functional(s2.transformed)
@@ -628,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     vol.add_argument("--special", choices=["min", "max"])
     vol.add_argument("--methods", default="residue,oracle")
     vol.add_argument("--tol", type=float, default=1e-9)
-    vol.add_argument("--eps", type=float, default=0.01, help="slab half-width for mc")
     vol.add_argument("--samples", type=int, default=10**6)
     vol.add_argument("--seed", type=int, default=seed_default)
     vol.add_argument("--exact-norm", action="store_true",

@@ -9,10 +9,6 @@ class RankDeficient(SimplexSectionError):
     """Input vectors are linearly dependent beyond the pivot threshold."""
 
 
-class Singular(SimplexSectionError):
-    """A square solve hit a pivot below the threshold."""
-
-
 class DegenerateInput(SimplexSectionError):
     """A formula's denominator vanished (hyperplane parallel to the simplex, etc.)."""
 

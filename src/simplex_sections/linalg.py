@@ -1,9 +1,10 @@
 """Minimal dense linear algebra for ambient dimensions up to ~16.
 
-Plain numpy arrays in, plain numpy arrays out.  Everything here is
-classical Gram-Schmidt, or a Householder QR followed by column pivoting on
-the complement projector (basis completion); the geometry upstream never
-needs more than a 16x16 system, so there are no sparse or blocked paths.
+Plain numpy arrays in, plain numpy arrays out.  Everything here is one
+Householder QR, sign-fixed to the Gram-Schmidt basis, followed by column
+pivoting on the complement projector (basis completion); the geometry
+upstream never needs more than a 16x16 system, so there are no sparse or
+blocked paths.
 """
 from __future__ import annotations
 
@@ -16,49 +17,15 @@ from .errors import RankDeficient
 PIVOT_RTOL = 1e-10
 
 
-def gram_schmidt(vectors) -> list[np.ndarray]:
-    """Orthonormalize a list of linearly independent vectors.
+def orthonormalize(vectors) -> np.ndarray:
+    """Orthonormal rows spanning the linearly independent rows of `vectors`.
 
-    Classical Gram-Schmidt with a second orthogonalization pass, which keeps
-    Q^T Q - I below ~1e-14 even for nearly dependent inputs at sweep
-    endpoints.  Raises RankDeficient when a residual norm falls below
-    PIVOT_RTOL times the input scale.
+    One Householder QR with the signs chosen so that diag R > 0, which is
+    the Gram-Schmidt basis: rows 0..i span the first i + 1 inputs.  Raises
+    RankDeficient when |R_ii| falls below PIVOT_RTOL times the input scale.
     """
-    vs = [np.asarray(v, dtype=float).ravel() for v in vectors]
-    if not vs:
-        return []
-    scale = max(float(np.linalg.norm(v)) for v in vs)
-    if scale == 0.0:
-        raise RankDeficient("all input vectors are zero")
-    basis: list[np.ndarray] = []
-    for v in vs:
-        w = v.copy()
-        for _ in range(2):
-            for q in basis:
-                w -= (q @ w) * q
-        norm = float(np.linalg.norm(w))
-        if norm < PIVOT_RTOL * scale:
-            raise RankDeficient(f"vector residual {norm:.3e} below pivot threshold")
-        basis.append(w / norm)
-    return basis
-
-
-def extend_to_orthonormal_basis(vectors, dim: int | None = None) -> list[np.ndarray]:
-    """Complete linearly independent vectors to an orthonormal basis of R^dim.
-
-    The first rows orthonormalize the inputs in order: one Householder QR
-    with the signs chosen so that diag R > 0, which is the Gram-Schmidt
-    basis.  Raises RankDeficient when |R_ii| falls below PIVOT_RTOL times
-    the input scale, the criterion of gram_schmidt.  The remaining rows come
-    from column pivoting on the complement projector W = I - QQ^T
-    (Businger & Golub 1965): each step takes the column of largest norm,
-    i.e. the standard basis vector with the largest residual (first index
-    on ties), so the completion is deterministic.
-    """
-    m = len(vectors)
-    if dim is None:
-        dim = len(vectors[0])
-    a = np.array(vectors, dtype=float).reshape(m, dim)
+    a = np.array(vectors, dtype=float)
+    m, dim = a.shape
     if m > dim:
         raise RankDeficient(f"{m} vectors cannot be independent in R^{dim}")
     scale = math.sqrt(np.einsum("ij,ij->i", a, a).max()) if m else 0.0
@@ -68,8 +35,23 @@ def extend_to_orthonormal_basis(vectors, dim: int | None = None) -> list[np.ndar
     d = np.diag(r)
     if np.any(np.abs(d) < PIVOT_RTOL * scale):
         raise RankDeficient(f"residual {np.min(np.abs(d)):.3e} below pivot threshold")
+    return q.T * np.sign(d)[:, None]
+
+
+def extend_to_orthonormal_basis(vectors, dim: int | None = None) -> list[np.ndarray]:
+    """Complete linearly independent vectors to an orthonormal basis of R^dim.
+
+    The first rows are `orthonormalize(vectors)`.  The remaining rows come
+    from column pivoting on the complement projector W = I - QQ^T
+    (Businger & Golub 1965): each step takes the column of largest norm,
+    i.e. the standard basis vector with the largest residual (first index
+    on ties), so the completion is deterministic.
+    """
+    m = len(vectors)
+    if dim is None:
+        dim = len(vectors[0])
     basis = np.empty((dim, dim))
-    basis[:m] = q.T * np.sign(d)[:, None]
+    basis[:m] = orthonormalize(np.array(vectors, dtype=float).reshape(m, dim))
     w = np.eye(dim) - basis[:m].T @ basis[:m]
     for i in range(m, dim):
         # w projects onto a (dim - i)-dim space, so its largest column norm

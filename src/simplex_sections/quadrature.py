@@ -5,7 +5,8 @@ R^(n+1-k) of prod_j 1/(1 + i <row_j, s>), where the rows collect the
 coordinates of an orthonormal basis of H-perp.  Codimension 1 reduces to a
 line integral of an even real part, folded from [0, inf) onto [0, 1];
 codimension 2 is a tensor integral over the tangent-compactified square.
-Both run on one adaptive Gauss-pair driver, `_adaptive`.  Higher
+Both run on one Gauss-pair rule for boxes of any dimension, `_gauss_cells`,
+and one adaptive driver, `_adaptive`.  Higher
 codimension is served by the vertex-enumeration oracle instead; the
 Monte Carlo check `monte_carlo_cone_volume` takes any codimension.
 """
@@ -26,13 +27,40 @@ CHUNK = 64  # cells per integrand call; keeps each square temporary near 2 MB at
 CONE_CHUNK = 2**16  # Monte Carlo rows per exponential fill; 4.5 MiB of draws at k = 9
 CONE_ROUND_U = 64  # unit roundoffs allowed for the prefactor, det B_J and the weight sums
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gl(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
+def _gauss_grid(order: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes of the order^d Gauss-Legendre tensor grid on [-1, 1]^d, shape
+    (d, order^d) with the first axis varying slowest, and the 1-D weights."""
+    if (order, d) not in _GL_CACHE:
+        xn, xw = np.polynomial.legendre.leggauss(order)
+        _GL_CACHE[order, d] = xn[np.indices((order,) * d).reshape(d, -1)], xw
+    return _GL_CACHE[order, d]
+
+
+def _gauss_cells(f, cells: np.ndarray):
+    """Tensor 15-point Gauss values and |15-point - 7-point| errors of boxes.
+
+    A row of `cells`, shape (m, 2d), is a box (a1, b1, ..., ad, bd).  One
+    call f(x1, ..., xd) per rule evaluates every box on its tensor grid.
+    The axes are contracted first to last, the last by one dot per box, so
+    a box rounds as it would alone.
+    """
+    m, d = cells.shape[0], cells.shape[1] // 2
+    lo, hi = cells[:, 0::2, None], cells[:, 1::2, None]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    vol = half.prod(axis=1)  # (m, 1)
+    out = []
+    for order in (7, 15):
+        nodes, xw = _gauss_grid(order, d)
+        vals = f(*(mid + half * nodes).transpose(1, 0, 2).reshape(d, -1))
+        for _ in range(d - 1):
+            vals = xw @ vals.reshape(m, order, -1)
+        out.append(vol * (vals.reshape(m, 1, order) @ xw))
+    i7, i15 = out
+    diff = (i15 - i7)[:, 0]  # np.abs rounds complex arrays unlike scalar abs
+    return i15[:, 0].tolist(), np.hypot(diff.real, diff.imag).tolist()
 
 
 def _adaptive(cells_fn, grid: np.ndarray, tol: float, max_cells: int):
@@ -98,23 +126,6 @@ def _folded_line_integrand(coeffs: np.ndarray):
     return h
 
 
-def _line_cells(h, cells: np.ndarray):
-    """15-point Gauss values and |15-point - 7-point| errors of intervals (a, b).
-
-    One integrand call per rule evaluates every interval of `cells`,
-    shape (m, 2).
-    """
-    a, b = cells.T[:, :, None]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    out = []
-    for order in (7, 15):
-        xn, xw = _gl(order)
-        vals = h((mid + half * xn).ravel()).reshape(-1, order)
-        out.append(half[:, 0] * (vals @ xw))
-    i7, i15 = out
-    return i15.tolist(), np.abs(i15 - i7).tolist()
-
-
 # dyadic marks 0, 2^-30, ..., 1/2, 1: the fold maps the slow tail toward x = 0
 _LINE_MARKS = [0.0] + [2.0**-e for e in range(30, -1, -1)]
 _LINE_GRID = np.column_stack([_LINE_MARKS[:-1], _LINE_MARKS[1:]])
@@ -145,23 +156,13 @@ def hyperplane_volume_quadrature(a: Direction, tol: float = 1e-9) -> VolumeResul
     if not (a.a > 0).any() or not (a.a < 0).any():
         raise EmptySection("direction with one-signed coordinates")
     h = _folded_line_integrand(np.asarray(a.a, dtype=float))
-    val, err = _adaptive(partial(_line_cells, h), _LINE_GRID, max(tol, 1e-12), max_cells=4000)
+    val, err = _adaptive(partial(_gauss_cells, h), _LINE_GRID, max(tol, 1e-12), max_cells=4000)
     pref = _direct_prefactor(hyperplane_basis_of(a))
     return VolumeResult(value=pref * val / math.pi, method="quadrature", err=pref * err / math.pi)
 
 
 def hyperplane_basis_of(a: Direction) -> SubspaceBasis:
     return SubspaceBasis(n=a.n, vectors=np.array([a.a]))
-
-
-def _square_integrand(rows: np.ndarray):
-    r0, r1 = rows
-
-    def f(sx: np.ndarray, sy: np.ndarray) -> np.ndarray:
-        phase = np.multiply.outer(sx, r0) + np.multiply.outer(sy, r1)
-        return 1.0 / np.prod(1.0 + 1j * phase, axis=-1)
-
-    return f
 
 
 def _compactified_integrand(rows: np.ndarray):
@@ -171,35 +172,14 @@ def _compactified_integrand(rows: np.ndarray):
     decay, so any absolutely integrable product stays bounded on the open
     u-square and no truncation radius or tail bound is needed.
     """
-    f = _square_integrand(rows)
+    r0, r1 = rows
 
     def ft(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
         t1, t2 = np.tan(u1), np.tan(u2)
-        return f(t1, t2) * (1.0 + t1 * t1) * (1.0 + t2 * t2)
+        phase = np.multiply.outer(t1, r0) + np.multiply.outer(t2, r1)
+        return 1.0 / np.prod(1.0 + 1j * phase, axis=-1) * (1.0 + t1 * t1) * (1.0 + t2 * t2)
 
     return ft
-
-
-def _square_cells(f, cells: np.ndarray):
-    """15x15 Gauss values and |15x15 - 7x7| errors of cells (a, b, c, d).
-
-    One integrand call per rule evaluates every cell of `cells`, shape
-    (m, 4), on its tensor grid.
-    """
-    a, b, c, d = cells.T[:, :, None]
-    midx, halfx = 0.5 * (a + b), 0.5 * (b - a)
-    midy, halfy = 0.5 * (c + d), 0.5 * (d - c)
-    out = []
-    for order in (7, 15):
-        xn, xw = _gl(order)
-        gx = np.repeat(midx + halfx * xn, order, axis=1)
-        gy = np.tile(midy + halfy * xn, order)
-        vals = f(gx.ravel(), gy.ravel()).reshape(-1, order, order)
-        # (m, 1, o) @ (o,) is one dot per cell, rounded as for a lone cell
-        out.append(halfx * halfy * ((xw @ vals)[:, None, :] @ xw))
-    i7, i15 = out
-    diff = (i15 - i7)[:, 0]  # np.abs rounds complex arrays unlike scalar abs
-    return i15[:, 0].tolist(), np.hypot(diff.real, diff.imag).tolist()
 
 
 def _square_grid() -> np.ndarray:
@@ -236,7 +216,7 @@ def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeRes
     if basis.codim != 2:
         raise NotSupported("quadrature implemented for codimension 1 and 2 only")
     ft = _compactified_integrand(np.asarray(basis.vectors, dtype=float))
-    cells = partial(_square_cells, ft)
+    cells = partial(_gauss_cells, ft)
     val, err = _adaptive(cells, _square_grid(), max(tol, 1e-10), max_cells=24000)
     pref = _direct_prefactor(basis)
     scale = 2.0 / (2.0 * math.pi) ** 2  # doubled half-plane integral

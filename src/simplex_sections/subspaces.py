@@ -64,7 +64,7 @@ def basis_from_rows(rows, orthonormalize: bool = True) -> SubspaceBasis:
         raise ValueError("need at least one row")
     n = len(rows[0]) - 1
     if orthonormalize:
-        rows = linalg.gram_schmidt(rows)
+        rows = linalg.orthonormalize(rows)
     return SubspaceBasis(n=n, vectors=np.array(rows))
 
 

@@ -132,23 +132,34 @@ def test_degenerate_vector_is_usage_error(argv):
         ("--basis-file", {"n": 3}, []),
         ("--basis-file", {"basis": []}, []),
         ("--basis-file", {"basis": [[1, 1, 0, 0], [0, 1, 1, 0]]}, ["--exact-norm"]),
+        ("--basis-file", {"basis": 3}, []),
+        ("--a-file", "{not json", []),
+        ("--basis-file", "{not json", []),
+        ("--a-file", None, []),
+        ("--basis-file", None, []),
     ],
-    ids=["a-file-no-a", "basis-file-no-basis", "basis-file-empty", "basis-file-not-orthonormal"],
+    ids=["a-file-no-a", "basis-file-no-basis", "basis-file-empty", "basis-file-not-orthonormal",
+         "basis-file-number", "a-file-not-json", "basis-file-not-json", "a-file-missing",
+         "basis-file-missing"],
 )
 def test_bad_input_file_is_usage_error(tmp_path, flag, content, extra):
     path = tmp_path / "in.json"
-    path.write_text(json.dumps(content))
+    if content is not None:  # None leaves the path missing
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
     with pytest.raises(SystemExit) as exc:
         cli.main(["volume", flag, str(path), "--methods", "oracle", *extra, "--no-timestamp"])
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("eps", ["inf", "nan"])
-def test_volume_mc_nonfinite_eps(eps, capsys):
-    rc = cli.main(["volume", "--n", "3", "--a", "0.5,0.5,-0.5,-0.5", "--methods", "mc",
-                   "--eps", eps, "--no-timestamp"])
-    assert rc == 3
-    assert "OutOfRange" in capsys.readouterr().err
+def test_volume_mc_on_direction_agrees_with_residue(capsys):
+    # mc on a direction is the cone estimator on its codim-1 basis: unbiased
+    rc = cli.main(["volume", "--n", "3", "--a", "0.5,0.5,-0.5,-0.5", "--methods", "residue,mc",
+                   "--samples", "200000", "--seed", "1", "--no-timestamp"])
+    assert rc == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert [r["method"] for r in rec["results"]] == ["residue", "mc"]
+    assert rec["agreement"][0]["agree"] is True
+    assert abs(rec["results"][1]["value"] - 0.5) <= 3 * rec["results"][1]["err"]
 
 
 def test_volume_numeric_error_exit_code():

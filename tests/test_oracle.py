@@ -127,7 +127,7 @@ def test_kdim_witness_vertices():
 
 def test_kdim_enumeration_limits():
     spec = oracle.regular_simplex(5)
-    rows = linalg.gram_schmidt(np.random.default_rng(1).standard_normal((5, 6)))
+    rows = linalg.orthonormalize(np.random.default_rng(1).standard_normal((5, 6)))
     with pytest.raises(NotSupported):
         oracle.kdim_section_vertices(spec, subspaces.SubspaceBasis(n=5, vectors=np.array(rows)))
 
@@ -336,7 +336,7 @@ def _degenerate_subspaces(draw):
     rows[:, j] = rows[:, i] * draw(factor)
     rows[:, n] -= rows.sum(axis=1)  # integer rows, so they sum to 0 exactly
     try:
-        q = np.array(linalg.gram_schmidt(rows))
+        q = np.array(linalg.orthonormalize(rows))
     except RankDeficient:
         assume(False)
     if kind == "ulp":

@@ -68,7 +68,7 @@ def test_imag_part_integrates_to_zero():
         return (1.0 / np.prod(1.0 + 1j * np.multiply.outer(s, coeffs), axis=-1)).imag
 
     # fold the line onto [-1, 1]: |s| > 1 contributes g(1/x)/x^2 over |x| < 1
-    cells = partial(quadrature._line_cells, lambda x: g(x) + g(1.0 / x) / (x * x))
+    cells = partial(quadrature._gauss_cells, lambda x: g(x) + g(1.0 / x) / (x * x))
     grid = np.array([[-1.0, -0.25], [-0.25, 0.0], [0.0, 1.0]])  # not symmetric about 0
     # relative tol 1e-4 of the 1e-6 floor: absolute 1e-10 on a vanishing total
     val, _ = quadrature._adaptive(cells, grid, 1e-4, max_cells=4000)
@@ -78,7 +78,7 @@ def test_imag_part_integrates_to_zero():
 def test_refinement_stalls_at_max_depth():
     # the Gauss-pair error of the cell holding a jump only halves with each
     # split, so an unreachable tolerance splits it until MAX_DEPTH stops it
-    cells = partial(quadrature._line_cells, lambda x: (x > 1.0 / 3.0).astype(float))
+    cells = partial(quadrature._gauss_cells, lambda x: (x > 1.0 / 3.0).astype(float))
     with pytest.raises(TolUnreachable, match=f"stalled at depth {quadrature.MAX_DEPTH}"):
         quadrature._adaptive(cells, np.array([[0.0, 1.0]]), 0.0, max_cells=4000)
 
@@ -144,7 +144,7 @@ def _reference_square_volume(basis, tol):
     """
 
     def tensor_rule(f, x0, x1, y0, y1, order):
-        xn, xw = quadrature._gl(order)
+        xn, xw = np.polynomial.legendre.leggauss(order)
         midx, halfx = 0.5 * (x0 + x1), 0.5 * (x1 - x0)
         midy, halfy = 0.5 * (y0 + y1), 0.5 * (y1 - y0)
         gx, gy = np.meshgrid(midx + halfx * xn, midy + halfy * xn, indexing="ij")
@@ -259,9 +259,31 @@ def test_square_grid_tiles_the_half_square():
     assert ((b - a) * (d - c)).sum() == pytest.approx(0.5 * math.pi**2, rel=1e-14, abs=0)
 
 
+def test_gauss_cells_exact_on_high_degree_monomials():
+    # the 15-point rule is exact to degree 29 per axis, the 7-point one only
+    # to 13, so the value is exact and the error estimate is not zero
+    vals, errs = quadrature._gauss_cells(lambda x: x**28, np.array([[0.0, 1.0]]))
+    assert vals[0] == pytest.approx(1.0 / 29.0, rel=1e-14, abs=0)
+    assert errs[0] > 0.0
+    vals, errs = quadrature._gauss_cells(lambda x, y: x**20 * y**9,
+                                         np.array([[0.0, 1.0, -1.0, 2.0]]))
+    assert vals[0] == pytest.approx((2.0**10 - 1.0) / (21.0 * 10.0), rel=1e-14, abs=0)
+    assert errs[0] > 0.0
+
+
+def test_gauss_cells_batch_matches_lone_boxes():
+    # a box rounds as it would alone, so batching cannot move any value
+    f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
+    h = quadrature._folded_line_integrand(np.array([0.6, 0.2, -0.3, -0.5, 0.1]))
+    for rule, grid in ((f, quadrature._square_grid()[:64]), (h, quadrature._LINE_GRID)):
+        batch = quadrature._gauss_cells(rule, grid)
+        alone = [quadrature._gauss_cells(rule, grid[i:i + 1]) for i in range(len(grid))]
+        assert batch == ([v for (v,), _ in alone], [e for _, (e,) in alone])
+
+
 def test_square_cell_budget_below_initial_grid():
     f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
-    cells = partial(quadrature._square_cells, f)
+    cells = partial(quadrature._gauss_cells, f)
     # the 512-cell grid alone reaches 3.4e-12 absolute on a total of pi^2; ask for less
     with pytest.raises(TolUnreachable, match="cell budget exhausted"):
         quadrature._adaptive(cells, quadrature._square_grid(), 1e-14, max_cells=100)
