@@ -205,6 +205,16 @@ def cmd_volume(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _section_volumes(a: np.ndarray) -> np.ndarray:
+    """Residue volumes of the rows of `a`; 0.0 for a row whose nonzero
+    coordinates share one sign, whose hyperplane meets the simplex in at
+    most a face."""
+    v = np.zeros(len(a))
+    cut = (a.min(axis=1) < 0.0) & (a.max(axis=1) > 0.0)
+    v[cut] = cf.residue_volumes(a[cut])[0]
+    return v
+
+
 def cmd_sweep(args) -> int:
     rows: list[dict] = []
     if args.frustum:
@@ -225,14 +235,10 @@ def cmd_sweep(args) -> int:
         rng = np.random.default_rng(args.seed)
         samples = []
         for K in ks:
-            best = 0.0
-            for _ in range(args.samples_per_k):
-                a = cf.random_direction_fixed_sum(args.n, float(K), rng)
-                try:
-                    best = max(best, cf.residue_volume(a).value)
-                except EmptySection:
-                    pass
-            samples.append(best)
+            # a negative count samples nothing, as a range() loop did
+            a = cf.random_directions_fixed_sum(
+                args.n, float(K), max(args.samples_per_k, 0), rng)
+            samples.append(float(np.max(_section_volumes(a), initial=0.0)))
         rows = [
             {
                 "K": float(K),
@@ -397,17 +403,14 @@ def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
         for n in range(3, min(n_max, 8) + 1):
             for K in (0.0, 0.25, 0.5, 0.75, 1.0):
                 bound, _ = cf.max_noncentral_bound(n, K)
-                for _ in range(per):
-                    a = cf.random_direction_fixed_sum(n, K, rng)
-                    try:
-                        v = cf.residue_volume(a).value
-                    except EmptySection:
-                        v = 0.0
-                    if v > bound + 1e-10:
-                        raise CounterexampleFound(
-                            f"bound violated at n={n} K={K}: {v} > {bound}",
-                            witness=np.asarray(a.a).tolist(),
-                        )
+                a = cf.random_directions_fixed_sum(n, K, per, rng)
+                v = _section_volumes(a)
+                over = np.flatnonzero(v > bound + 1e-10)
+                if over.size:
+                    raise CounterexampleFound(
+                        f"bound violated at n={n} K={K}: {float(v[over[0]])} > {bound}",
+                        witness=a[over[0]].tolist(),
+                    )
         return {"per_cell": per}
 
     checks.append(_check("noncentral_bound_validity", bound_validity))
@@ -417,14 +420,13 @@ def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
         per = max(trials // 5, 200)
         for n in range(3, min(n_max, 8) + 1):
             floor = cf.special_min_volume(n)
-            for _ in range(per):
-                a = cf.random_direction_sign_pattern(n, 1, rng)
-                v = cf.residue_volume(a).value
-                if v < floor - 1e-10:
-                    raise CounterexampleFound(
-                        f"one-positive direction below the face-parallel volume at n={n}",
-                        witness=np.asarray(a.a).tolist(),
-                    )
+            a = cf.random_directions_sign_pattern(n, 1, per, rng)
+            low = np.flatnonzero(cf.residue_volumes(a)[0] < floor - 1e-10)
+            if low.size:
+                raise CounterexampleFound(
+                    f"one-positive direction below the face-parallel volume at n={n}",
+                    witness=a[low[0]].tolist(),
+                )
         return {"per_n": per}
 
     checks.append(_check("local_minimum_pattern", local_min))

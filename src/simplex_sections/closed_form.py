@@ -252,6 +252,61 @@ def residue_volume(a: Direction) -> VolumeResult:
 
 
 # ---------------------------------------------------------------------------
+# batched residue: the rows of an (m, n+1) array at once, for the sweeps
+# that score many sampled directions per cell.  Single directions keep the
+# scalar code above, which is faster for one row.
+
+def residue_sums(t: np.ndarray) -> np.ndarray:
+    """_residue_sum over the rows of an (m, n+1) array of ascending coordinates.
+
+    The same de Boor-Cox recurrence, one order at a time for all rows: row r
+    has its own zero index m_r (t[r, m_r] <= 0 < t[r, m_r + 1]), and a term
+    is formed, by the same operations, exactly where the scalar loop forms
+    it for that row, so every value equals _residue_sum's bit for bit.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all((t[:, 0] < 0.0) & (0.0 < t[:, -1])):
+        raise EmptySection(
+            "a row's nonzero coordinates share one sign; its hyperplane meets "
+            "the simplex in at most a face"
+        )
+    n = t.shape[1] - 1
+    m = np.count_nonzero(t <= 0.0, axis=1)[:, None] - 1
+    i = np.arange(n)
+    N = (i == m).astype(float)
+    # entries outside a row's range may divide by zero; np.where drops them
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(2, n + 1):
+            w = n - k + 1  # orders k reach i = 0..n-k
+            j, lo, old = i[:w], t[:, :w], N[:, :w]
+            v = np.where(j > m - k + 1, -lo / (t[:, k - 1:n] - lo) * old, 0.0)
+            up = t[:, k:]
+            v = np.where(j < m, v + up / (up - t[:, 1:w + 1]) * N[:, 1:w + 1], v)
+            N[:, :w] = np.where((j >= m - k + 1) & (j <= m), v, old)
+    return N[:, 0] / (t[:, n] - t[:, 0])
+
+
+def residue_volumes(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """residue_volume over the rows of an (m, n+1) array of unit normals.
+
+    Returns the values and their a-priori err bounds, each bit-identical to
+    residue_volume on a Direction with those coordinates (K is the row sum).
+    Raises EmptySection if a row lacks coordinates of both signs and
+    DegenerateInput if a row has n + 1 - K^2 <= 1e-12.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[1] - 1
+    K = a.sum(axis=1)
+    value = residue_sums(np.sort(a, axis=1))
+    denom = n + 1.0 - K * K
+    if np.any(denom <= 1e-12):
+        raise DegenerateInput("coordinate sum too large: hyperplane parallel to the simplex")
+    volume = np.sqrt(denom) / math.factorial(n - 1) * value
+    u = sys.float_info.epsilon / 2.0
+    return volume, 4.0 * (n + 1) * u * volume
+
+
+# ---------------------------------------------------------------------------
 # representation conversions
 
 def central_to_embedded(cf: CentralForm) -> Direction:
@@ -369,3 +424,81 @@ def random_direction_sign_pattern(n: int, P: int, rng: np.random.Generator) -> D
         v = np.sort(np.concatenate([cp * p, -cq * q]))[::-1]
         if np.all(np.isfinite(v)):
             return Direction.make(v, canonicalize=False)
+
+
+# Batched samplers: `count` rows, each the coordinates that one call of the
+# sampler above returns, drawn from rng as `count` successive calls draw them.
+# Every step repeats the scalar code's floating-point operations: dot products
+# are stacked matmuls over contiguous rows (they round as x @ x and np.vdot;
+# einsum and (x * x).sum(1) do not), squares of numpy scalars are libm pow
+# (np.float_power; x ** 2 on an array rounds as x * x), row sums sum(axis=1).
+
+def _row_dots(x: np.ndarray) -> np.ndarray:
+    x = np.ascontiguousarray(x)
+    return (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+
+
+def _draw_rows(count: int, draw) -> np.ndarray:
+    """The first `count` accepted rows of the stream; draw(k) draws k fresh
+    rows and returns those the scalar sampler would not redraw, in order."""
+    if count < 0:
+        raise OutOfRange(f"count={count} is negative")
+    rows = draw(count)
+    while len(rows) < count:  # top up the rejected rows with fresh draws
+        rows = np.concatenate([rows, draw(count - len(rows))])
+    return rows
+
+
+def _canonical_rows(v: np.ndarray) -> np.ndarray:
+    """_canonical_coords of each row."""
+    asc = np.sort(v, axis=1)
+    up, down = asc[:, ::-1], -asc
+    s = v.sum(axis=1)
+    # sum ~ 0: the first coordinate where the two orders differ decides
+    differ = (up > down) | (up < down)
+    first = differ.argmax(axis=1)[:, None]
+    tie_down = np.take_along_axis(up < down, first, axis=1)[:, 0]
+    use_down = (s < -CANON_TOL) | ((np.abs(s) <= CANON_TOL) & tie_down)
+    return np.where(use_down[:, None], down, up)
+
+
+def random_directions_fixed_sum(
+    n: int, K: float, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """`count` rows of random_direction_fixed_sum, canonical coordinates."""
+    if K * K >= n + 1.0:
+        raise OutOfRange("K^2 must be below n+1")
+
+    def draw(rows):
+        g = rng.standard_normal((rows, n + 1))
+        u = g - g.sum(axis=1)[:, None] / (n + 1)
+        nrm = np.sqrt(_row_dots(u))
+        keep = nrm > 1e-12
+        return u[keep] / nrm[keep, None]
+
+    a = (K / (n + 1.0)) + math.sqrt(1.0 - K * K / (n + 1.0)) * _draw_rows(count, draw)
+    # norm close to 1, so Direction.make's rescaling branch never applies
+    return _canonical_rows(a / np.sqrt(_row_dots(a))[:, None])
+
+
+def random_directions_sign_pattern(
+    n: int, P: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """`count` rows of random_direction_sign_pattern, sorted descending."""
+    if not (1 <= P <= n):
+        raise OutOfRange(f"P={P} outside 1..{n}")
+
+    def draw(rows):
+        g = np.abs(rng.standard_normal((rows, n + 1))) + 1e-9
+        p, q = g[:, :P], g[:, P:]
+        ps, qs = p.sum(axis=1), q.sum(axis=1)
+        cp = 1.0 / np.sqrt(
+            _row_dots(p) + np.float_power(ps, 2) * _row_dots(q) / np.float_power(qs, 2)
+        )
+        cq = cp * ps / qs
+        v = np.sort(np.concatenate([cp[:, None] * p, -cq[:, None] * q], axis=1), axis=1)
+        v = v[:, ::-1]
+        return v[np.all(np.isfinite(v), axis=1)]
+
+    v = _draw_rows(count, draw)
+    return v / np.sqrt(_row_dots(v))[:, None]

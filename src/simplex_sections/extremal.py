@@ -19,9 +19,9 @@ from . import oracle
 from .closed_form import (
     Direction,
     brascamp_lieb_bounds,
-    random_direction_sign_pattern,
+    random_directions_sign_pattern,
     residue_functional,
-    residue_volume,
+    residue_volumes,
     special_min_volume,
 )
 from .errors import CounterexampleFound, NoSolution, OutOfRange
@@ -190,8 +190,7 @@ def minimize_frustum(N: int, grid: int = 1000) -> tuple[float, float]:
     if grid < 10:
         raise OutOfRange("grid too coarse")
     xs = np.linspace(0.0, 0.5, grid)
-    vals = [oracle.frustum_volume(N, float(x)) for x in xs]
-    i = int(np.argmin(vals))
+    i = int(np.argmin(oracle.frustum_volume(N, xs)))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, grid - 1)]
     phi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -261,20 +260,20 @@ def _min_search(n: int, trials: int, seed: int, check_floor: bool) -> MinSearchR
     per_pattern: dict[int, float] = {}
     per = max(trials // n, 1)
     for P in range(1, n + 1):
-        pattern_best = math.inf
-        for _ in range(per):
-            a = random_direction_sign_pattern(n, P, rng)
-            vol = residue_volume(a).value
-            if vol < pattern_best:
-                pattern_best = vol
-            if vol < best:
-                best, best_dir = vol, tuple(float(c) for c in a.a)
-            if check_floor and vol < floor - 1e-10:
+        a = random_directions_sign_pattern(n, P, per, rng)
+        vol = residue_volumes(a)[0]
+        if check_floor:
+            low = np.flatnonzero(vol < floor - 1e-10)
+            if low.size:
                 raise CounterexampleFound(
-                    f"section volume {vol} below the face-parallel minimum {floor}",
-                    witness=tuple(float(c) for c in a.a),
+                    f"section volume {float(vol[low[0]])} below the face-parallel "
+                    f"minimum {floor}",
+                    witness=tuple(a[low[0]].tolist()),
                 )
-        per_pattern[P] = pattern_best
+        i = int(np.argmin(vol))  # the first minimum, as a strict < scan keeps
+        per_pattern[P] = float(vol[i])
+        if vol[i] < best:
+            best, best_dir = float(vol[i]), tuple(a[i].tolist())
     return MinSearchReport(
         n=n,
         trials=per * n,

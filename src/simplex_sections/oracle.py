@@ -327,27 +327,33 @@ def polytope_volume(poly: SectionPolytope) -> VolumeResult:
     return VolumeResult(value=value, method="oracle", err=1e-13 * value * poly.dim)
 
 
-def frustum_volume(N: int, x: float) -> float:
+def frustum_volume(N: int, x: float | np.ndarray) -> float | np.ndarray:
     """Section volume profile for two positive and N equal negative weights.
 
     The section is the convex hull of two parallel regular (N-1)-simplices;
     the closed form is the frustum height times a geometric cross-term sum,
     extended continuously to the endpoints x = 0 and x = 1 where one of the
     two simplices degenerates.
+
+    x may be a float or an array of points; an array entry equals the float
+    result bit for bit, because every power is libm pow, as Python's float
+    ** is (numpy's ** on arrays rounds some of them differently).
     """
     if not isinstance(N, (int, np.integer)) or N < 2:
         raise OutOfRange("N must be an integer >= 2")
-    if not (0.0 <= x <= 1.0):
+    if not np.all((0.0 <= x) & (x <= 1.0)):
         raise OutOfRange(f"x={x} outside [0, 1]")
+    pw = np.float_power
     top = N * x / (N * x + 1.0)
     bot = N * (1.0 - x) / (N * (1.0 - x) + 1.0)
-    height = math.sqrt(
-        1.0 / (N * x + 1.0) ** 2
-        + 1.0 / (N * (1.0 - x) + 1.0) ** 2
-        + N * (x / (N * x + 1.0) - (1.0 - x) / (N * (1.0 - x) + 1.0)) ** 2
+    height = np.sqrt(
+        1.0 / pw(N * x + 1.0, 2)
+        + 1.0 / pw(N * (1.0 - x) + 1.0, 2)
+        + N * pw(x / (N * x + 1.0) - (1.0 - x) / (N * (1.0 - x) + 1.0), 2)
     )
-    cross = sum(top ** (N - 1 - m) * bot**m for m in range(N))
-    return math.sqrt(N) / math.factorial(N) * height * cross
+    cross = sum(pw(top, N - 1 - m) * pw(bot, m) for m in range(N))
+    vol = math.sqrt(N) / math.factorial(N) * height * cross
+    return vol if np.ndim(x) else float(vol)
 
 
 def simplex_volume(spec: SimplexSpec) -> float:

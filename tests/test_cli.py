@@ -247,6 +247,57 @@ def test_verify_extremal_suite():
     assert "verify: PASS" in proc.stdout
 
 
+def test_section_volumes_count_one_signed_rows_as_zero():
+    # as the per-direction sweeps' EmptySection handler did
+    a = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5], [0.5, 0.5, 0.5, 0.5]])
+    assert cli._section_volumes(a).tolist() == [0.0, 0.5, 0.0]
+
+
+def _planted_failure(tmp_path, name):
+    out = tmp_path / "report.json"
+    code = cli.main(["verify", "--suite", "extremal", "--n-max", "4", "--trials", "100",
+                     "--seed", "5", "--out", str(out), "--no-timestamp"])
+    rec = json.loads(out.read_text())
+    jsonschema.validate(rec, SCHEMA)
+    assert code == cli.EXIT_COUNTEREXAMPLE and rec["pass"] is False
+    check = next(c for c in rec["results"] if c["name"] == name)
+    assert check["passed"] is False
+    return check["detail"]
+
+
+def test_verify_extremal_reports_planted_bound_violation(tmp_path, monkeypatch):
+    # a bound 10% low, which several directions of the first cell exceed: the
+    # witness is the first of them, found by the per-direction loop
+    real = cli.cf.max_noncentral_bound
+    monkeypatch.setattr(cli.cf, "max_noncentral_bound",
+                        lambda n, K: (0.9 * real(n, K)[0], real(n, K)[1]))
+    detail = _planted_failure(tmp_path, "noncentral_bound_validity")
+    rng = np.random.default_rng(5)
+    want = None
+    for n in (3, 4):
+        for K in (0.0, 0.25, 0.5, 0.75, 1.0):
+            for _ in range(200):
+                a = cli.cf.random_direction_fixed_sum(n, K, rng)
+                if want is None and cli.cf.residue_volume(a).value > 0.9 * real(n, K)[0] + 1e-10:
+                    want = a.a.tolist()
+    assert detail["witness"] == want
+
+
+def test_verify_extremal_reports_planted_floor_violation(tmp_path, monkeypatch):
+    # a face-parallel floor 1% high for the one-positive pattern check
+    real = cli.cf.special_min_volume
+    monkeypatch.setattr(cli.cf, "special_min_volume", lambda n: 1.01 * real(n))
+    detail = _planted_failure(tmp_path, "local_minimum_pattern")
+    rng = np.random.default_rng(5 + 3)
+    want = None
+    for n in (3, 4):
+        for _ in range(200):
+            a = cli.cf.random_direction_sign_pattern(n, 1, rng)
+            if want is None and cli.cf.residue_volume(a).value < 1.01 * real(n) - 1e-10:
+                want = a.a.tolist()
+    assert detail["witness"] == want
+
+
 def test_verify_report_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

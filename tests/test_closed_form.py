@@ -97,32 +97,21 @@ def _exact_residue_sum(coords):
     return dd(0, len(t) - 1)
 
 
-@pytest.mark.parametrize(
-    "coords",
-    [
-        [0.5, 0.5 + 5e-7, 0.5 + 1e-6, -0.3, -0.7, -0.5],
-        [0.3, 0.3 + 2e-6, 0.3 + 4e-6, 0.3 + 6e-6, -0.6, -0.6],
-        [1, 1, 1, -1, -1, -1],
-        [5e-324, 0.7, -0.7, 0],
-        # near-zero coordinates keep their sign, however small
-        [1, 1, -1e-11, -1e-11],
-        [0.6, 5e-13, -0.2, -0.5, 0.1, -0.3],
-        [1, 1, 1, -1e-9, -2e-9, -3e-9],
-        [0.502, 0.337, 0.226, -0.764, -3e-13],
-        [0.7, 0.2, -2e-13, -3e-13, -0.5],
-    ],
-    ids=[
-        "triple-tie",
-        "quadruple-tie",
-        "exact-tie",
-        "subnormal",
-        "thin-square",
-        "tiny-positive-snap",
-        "tiny-negatives-thin",
-        "tiny-negative-snap",
-        "two-tiny-negatives-snap",
-    ],
-)
+_TIE_CASES = {
+    "triple-tie": [0.5, 0.5 + 5e-7, 0.5 + 1e-6, -0.3, -0.7, -0.5],
+    "quadruple-tie": [0.3, 0.3 + 2e-6, 0.3 + 4e-6, 0.3 + 6e-6, -0.6, -0.6],
+    "exact-tie": [1, 1, 1, -1, -1, -1],
+    "subnormal": [5e-324, 0.7, -0.7, 0],
+    # near-zero coordinates keep their sign, however small
+    "thin-square": [1, 1, -1e-11, -1e-11],
+    "tiny-positive-snap": [0.6, 5e-13, -0.2, -0.5, 0.1, -0.3],
+    "tiny-negatives-thin": [1, 1, 1, -1e-9, -2e-9, -3e-9],
+    "tiny-negative-snap": [0.502, 0.337, 0.226, -0.764, -3e-13],
+    "two-tiny-negatives-snap": [0.7, 0.2, -2e-13, -3e-13, -0.5],
+}
+
+
+@pytest.mark.parametrize("coords", list(_TIE_CASES.values()), ids=list(_TIE_CASES))
 def test_residue_ties_match_exact_rationals(coords):
     d = cf.Direction.make(coords)
     n = d.n
@@ -136,6 +125,68 @@ def test_residue_ties_match_exact_rationals(coords):
     for e in (1e-13 * r.value, r.err):
         lo, hi = Fraction(r.value) - Fraction(e), Fraction(r.value) + Fraction(e)
         assert lo * lo <= q <= hi * hi, e
+
+
+_BATCH_CASES = {
+    **_TIE_CASES,
+    "minus-1e-300": [0.6, 0.3, -1e-300, -0.5, -0.4],
+    "plus-1e-17": [0.5, 1e-17, -0.2, -0.3],
+    "1e-9-block": [0.8, 1e-9, 2e-9, 3e-9, -0.6, -0.4],
+    "1e-12-near-tie": [0.4, 0.4 + 1e-12, -0.3, -0.5, -0.3 - 1e-12, 0.1],
+}
+
+
+def _rows_by_length(rows):
+    by_len = {}
+    for row in rows:
+        by_len.setdefault(len(row), []).append(sorted(row))
+    return {k: np.array(v) for k, v in by_len.items()}
+
+
+def test_residue_sums_match_scalar_on_hard_rows():
+    # every hard input, unit-normalized as Direction.make leaves it, in one
+    # batch per length, so rows with different zero indices share an array
+    rows = [cf.Direction.make(c).a.tolist() for c in _BATCH_CASES.values()]
+    for t in _rows_by_length(rows).values():
+        got = cf.residue_sums(t)
+        want = np.array([cf._residue_sum(row.tolist()) for row in t])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_residue_sums_match_scalar_on_random_rows():
+    rng = np.random.default_rng(17)
+    for n in range(2, 13):
+        g = rng.standard_normal((1000, n + 1))
+        g[:, 0], g[:, 1] = -np.abs(g[:, 0]), np.abs(g[:, 1])  # both signs
+        g[::3, 2] = g[::3, 1]  # a third of the rows get a tie,
+        g[1::3, -1] *= 1e-12  # a third a coordinate near zero
+        t = np.sort(g, axis=1)
+        got = cf.residue_sums(t)
+        want = np.array([cf._residue_sum(row.tolist()) for row in t])
+        assert got.tobytes() == want.tobytes(), n
+
+
+def test_residue_sums_reject_one_signed_rows():
+    with pytest.raises(EmptySection):
+        cf.residue_sums(np.array([[-0.5, 0.2, 0.7], [0.0, 0.5, 0.5]]))
+    assert cf.residue_sums(np.empty((0, 4))).shape == (0,)
+
+
+def test_residue_volumes_match_scalar():
+    rng = np.random.default_rng(23)
+    for n in range(3, 13):
+        for K in (0.0, 0.25, 0.5, 0.75, 1.0):
+            dirs = [cf.random_direction_fixed_sum(n, K, rng) for _ in range(100)]
+            dirs += [cf.random_direction_sign_pattern(n, 1 + n % 3, rng) for _ in range(20)]
+            a = np.array([d.a for d in dirs])
+            value, err = cf.residue_volumes(a)
+            want = [cf.residue_volume(d) for d in dirs]
+            assert value.tobytes() == np.array([r.value for r in want]).tobytes()
+            assert err.tobytes() == np.array([r.err for r in want]).tobytes()
+    with pytest.raises(EmptySection):
+        cf.residue_volumes(np.array([[0.6, 0.8, 0.0]]))
+    with pytest.raises(DegenerateInput):
+        cf.residue_volumes(np.array([[1.0, 1.0, -1e-9]]))
 
 
 def _vector_lists():
@@ -431,6 +482,55 @@ def test_samplers_match_their_reference_streams():
             got = cf.random_direction_sign_pattern(n, P, np.random.default_rng([seed, n]))
             want = sign_pattern_ref(n, P, np.random.default_rng([seed, n]))
             assert got.a.tobytes() == want.tobytes()
+            # the batched samplers return the rows of `count` scalar calls
+            count = 1 + 7 * seed
+            for batched, scalar, arg in (
+                (cf.random_directions_fixed_sum, cf.random_direction_fixed_sum, K),
+                (cf.random_directions_sign_pattern, cf.random_direction_sign_pattern, P),
+            ):
+                rng_b, rng_s = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+                rows = batched(n, arg, count, rng_b)
+                dirs = [scalar(n, arg, rng_s) for _ in range(count)]
+                assert rows.tobytes() == np.array([d.a for d in dirs]).tobytes()
+                assert rows.sum(axis=1).tolist() == [d.ksum for d in dirs]
+                assert rng_b.random() == rng_s.random()  # same draws consumed
+
+
+class _FixedStream:
+    """A generator stand-in whose standard_normal hands out fixed values in
+    order, as numpy's Generator fills one array or successive calls."""
+
+    def __init__(self, rows):
+        self.values = np.asarray(rows, dtype=float).ravel()
+        self.used = 0
+
+    def standard_normal(self, size):
+        k = int(np.prod(size))
+        out = self.values[self.used:self.used + k]
+        assert out.size == k, "stream exhausted"
+        self.used += k
+        return out.reshape(size).copy()
+
+
+@pytest.mark.parametrize("degenerate", ["zero-after-centering", "nan"])
+def test_batched_samplers_top_up_rejected_rows(degenerate):
+    # the second row is one the scalar samplers redraw: constant rows center
+    # to zero (fixed sum), NaN rows give non-finite coordinates (sign pattern)
+    n, count = 4, 4
+    rows = np.random.default_rng(3).standard_normal((count + 1, n + 1))
+    rows[1] = 1.0 if degenerate == "zero-after-centering" else np.nan
+    for batched, scalar, arg in (
+        (cf.random_directions_fixed_sum, cf.random_direction_fixed_sum, 0.5),
+        (cf.random_directions_sign_pattern, cf.random_direction_sign_pattern, 2),
+    ):
+        stream_b, stream_s = _FixedStream(rows), _FixedStream(rows)
+        got = batched(n, arg, count, stream_b)
+        want = np.array([scalar(n, arg, stream_s).a for _ in range(count)])
+        assert got.tobytes() == want.tobytes()
+        redrawn = degenerate == "nan" or batched is cf.random_directions_fixed_sum
+        assert stream_b.used == stream_s.used == (count + redrawn) * (n + 1)
+    with pytest.raises(OutOfRange):
+        cf.random_directions_fixed_sum(n, 0.0, -1, np.random.default_rng(0))
 
 
 def test_sign_pattern_sampler():

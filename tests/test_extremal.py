@@ -235,6 +235,56 @@ def test_explore_search_runs_for_larger_n():
     assert rep.min_value > 0
 
 
+def _min_search_reference(n, trials, seed, check_floor):
+    """The per-direction search loop: one sampler and residue call per direction."""
+    rng = np.random.default_rng(seed)
+    floor = extremal.special_min_volume(n)
+    best, best_dir, per_pattern = math.inf, (), {}
+    per = max(trials // n, 1)
+    for P in range(1, n + 1):
+        pattern_best = math.inf
+        for _ in range(per):
+            a = cf.random_direction_sign_pattern(n, P, rng)
+            vol = cf.residue_volume(a).value
+            pattern_best = min(pattern_best, vol)
+            if vol < best:
+                best, best_dir = vol, tuple(float(c) for c in a.a)
+            if check_floor and vol < floor - 1e-10:
+                raise CounterexampleFound(
+                    f"section volume {vol} below the face-parallel minimum {floor}",
+                    witness=tuple(float(c) for c in a.a),
+                )
+        per_pattern[P] = pattern_best
+    return extremal.MinSearchReport(
+        n=n, trials=per * n, floor=floor, min_value=best, min_direction=best_dir,
+        margin=best - floor, per_pattern=per_pattern, passed=True,
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_min_search_matches_per_direction_loop(n):
+    for seed in range(6):
+        for trials in (n, 120, 301):
+            want = _min_search_reference(n, trials, seed, check_floor=n <= 4)
+            got = extremal._min_search(n, trials, seed, check_floor=n <= 4)
+            assert got == want, (seed, trials)
+
+
+def test_min_search_witness_is_first_violation(monkeypatch):
+    # a floor at the first direction's volume: that direction passes, and
+    # the witness must be the first later one in draw order 1e-10 below it
+    n, trials, seed = 4, 200, 3
+    first = cf.random_direction_sign_pattern(n, 1, np.random.default_rng(seed))
+    monkeypatch.setattr(extremal, "special_min_volume",
+                        lambda n: cf.residue_volume(first).value)
+    with pytest.raises(CounterexampleFound) as want:
+        _min_search_reference(n, trials, seed, check_floor=True)
+    with pytest.raises(CounterexampleFound) as got:
+        extremal.verify_global_minimum(n, trials, seed)
+    assert got.value.witness == want.value.witness != tuple(first.a.tolist())
+    assert str(got.value) == str(want.value)
+
+
 def test_verify_kdim_bounds():
     rep = extremal.verify_kdim_bounds(5, 3, trials=150, seed=11)
     assert rep.passed

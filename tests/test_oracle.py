@@ -616,11 +616,36 @@ def test_frustum_consistency_with_slice_decomposition():
     assert oracle.frustum_volume(N, x) == pytest.approx(got, rel=1e-11, abs=0)
 
 
+def _frustum_reference(N, x):
+    """The float-only profile: Python's float ** for every power."""
+    top = N * x / (N * x + 1.0)
+    bot = N * (1.0 - x) / (N * (1.0 - x) + 1.0)
+    height = math.sqrt(
+        1.0 / (N * x + 1.0) ** 2
+        + 1.0 / (N * (1.0 - x) + 1.0) ** 2
+        + N * (x / (N * x + 1.0) - (1.0 - x) / (N * (1.0 - x) + 1.0)) ** 2
+    )
+    cross = sum(top ** (N - 1 - m) * bot**m for m in range(N))
+    return math.sqrt(N) / math.factorial(N) * height * cross
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_frustum_arrays_and_floats_match_float_reference(N):
+    xs = np.concatenate([np.linspace(0.0, 1.0, 2001), np.random.default_rng(N).random(500)])
+    want = [_frustum_reference(N, float(x)) for x in xs]
+    got = [oracle.frustum_volume(N, float(x)) for x in xs]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert oracle.frustum_volume(N, xs).tobytes() == np.array(want).tobytes()
+
+
 def test_frustum_domain():
     with pytest.raises(OutOfRange):
         oracle.frustum_volume(1, 0.5)
     with pytest.raises(OutOfRange):
         oracle.frustum_volume(3, 1.5)
+    with pytest.raises(OutOfRange):
+        oracle.frustum_volume(3, np.array([0.2, 1.5]))
 
 
 # --- Monte Carlo slab -------------------------------------------------------------
