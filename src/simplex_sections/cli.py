@@ -219,7 +219,8 @@ def cmd_sweep(args) -> int:
     rows: list[dict] = []
     if args.frustum:
         xs = np.linspace(0.0, 1.0, args.grid)
-        rows = [{"x": float(x), "volume": oracle.frustum_volume(args.N, float(x))} for x in xs]
+        vols = oracle.frustum_volume(args.N, xs)
+        rows = [{"x": float(x), "volume": float(v)} for x, v in zip(xs, vols)]
         columns = ["x", "volume"]
     elif args.ratio:
         lo = -1.0 / (args.n + 1) + 1e-6
@@ -235,10 +236,12 @@ def cmd_sweep(args) -> int:
         rng = np.random.default_rng(args.seed)
         samples = []
         for K in ks:
-            # a negative count samples nothing, as a range() loop did
-            a = cf.random_directions_fixed_sum(
-                args.n, float(K), max(args.samples_per_k, 0), rng)
-            samples.append(float(np.max(_section_volumes(a), initial=0.0)))
+            best = 0.0
+            for a in cf.direction_blocks(
+                cf.random_directions_fixed_sum, args.n, float(K), args.samples_per_k, rng
+            ):
+                best = max(best, float(np.max(_section_volumes(a), initial=0.0)))
+            samples.append(best)
         rows = [
             {
                 "K": float(K),
@@ -403,14 +406,14 @@ def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
         for n in range(3, min(n_max, 8) + 1):
             for K in (0.0, 0.25, 0.5, 0.75, 1.0):
                 bound, _ = cf.max_noncentral_bound(n, K)
-                a = cf.random_directions_fixed_sum(n, K, per, rng)
-                v = _section_volumes(a)
-                over = np.flatnonzero(v > bound + 1e-10)
-                if over.size:
-                    raise CounterexampleFound(
-                        f"bound violated at n={n} K={K}: {float(v[over[0]])} > {bound}",
-                        witness=a[over[0]].tolist(),
-                    )
+                for a in cf.direction_blocks(cf.random_directions_fixed_sum, n, K, per, rng):
+                    v = _section_volumes(a)
+                    over = np.flatnonzero(v > bound + 1e-10)
+                    if over.size:
+                        raise CounterexampleFound(
+                            f"bound violated at n={n} K={K}: {float(v[over[0]])} > {bound}",
+                            witness=a[over[0]].tolist(),
+                        )
         return {"per_cell": per}
 
     checks.append(_check("noncentral_bound_validity", bound_validity))
@@ -420,13 +423,13 @@ def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
         per = max(trials // 5, 200)
         for n in range(3, min(n_max, 8) + 1):
             floor = cf.special_min_volume(n)
-            a = cf.random_directions_sign_pattern(n, 1, per, rng)
-            low = np.flatnonzero(cf.residue_volumes(a)[0] < floor - 1e-10)
-            if low.size:
-                raise CounterexampleFound(
-                    f"one-positive direction below the face-parallel volume at n={n}",
-                    witness=a[low[0]].tolist(),
-                )
+            for a in cf.direction_blocks(cf.random_directions_sign_pattern, n, 1, per, rng):
+                low = np.flatnonzero(cf.residue_volumes(a)[0] < floor - 1e-10)
+                if low.size:
+                    raise CounterexampleFound(
+                        f"one-positive direction below the face-parallel volume at n={n}",
+                        witness=a[low[0]].tolist(),
+                    )
         return {"per_n": per}
 
     checks.append(_check("local_minimum_pattern", local_min))

@@ -19,6 +19,7 @@ from . import oracle
 from .closed_form import (
     Direction,
     brascamp_lieb_bounds,
+    direction_blocks,
     random_directions_sign_pattern,
     residue_functional,
     residue_volumes,
@@ -260,20 +261,22 @@ def _min_search(n: int, trials: int, seed: int, check_floor: bool) -> MinSearchR
     per_pattern: dict[int, float] = {}
     per = max(trials // n, 1)
     for P in range(1, n + 1):
-        a = random_directions_sign_pattern(n, P, per, rng)
-        vol = residue_volumes(a)[0]
-        if check_floor:
-            low = np.flatnonzero(vol < floor - 1e-10)
-            if low.size:
-                raise CounterexampleFound(
-                    f"section volume {float(vol[low[0]])} below the face-parallel "
-                    f"minimum {floor}",
-                    witness=tuple(a[low[0]].tolist()),
-                )
-        i = int(np.argmin(vol))  # the first minimum, as a strict < scan keeps
-        per_pattern[P] = float(vol[i])
-        if vol[i] < best:
-            best, best_dir = float(vol[i]), tuple(a[i].tolist())
+        pattern_best = math.inf
+        for a in direction_blocks(random_directions_sign_pattern, n, P, per, rng):
+            vol = residue_volumes(a)[0]
+            if check_floor:
+                low = np.flatnonzero(vol < floor - 1e-10)
+                if low.size:
+                    raise CounterexampleFound(
+                        f"section volume {float(vol[low[0]])} below the face-parallel "
+                        f"minimum {floor}",
+                        witness=tuple(a[low[0]].tolist()),
+                    )
+            i = int(np.argmin(vol))  # the first minimum, as a strict < scan keeps
+            pattern_best = min(pattern_best, float(vol[i]))
+            if vol[i] < best:
+                best, best_dir = float(vol[i]), tuple(a[i].tolist())
+        per_pattern[P] = pattern_best
     return MinSearchReport(
         n=n,
         trials=per * n,

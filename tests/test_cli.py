@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from simplex_sections import cli
+from simplex_sections.errors import EmptySection
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1] / "docs" / "result_record.schema.json").read_text()
@@ -253,6 +254,27 @@ def test_section_volumes_count_one_signed_rows_as_zero():
     assert cli._section_volumes(a).tolist() == [0.0, 0.5, 0.0]
 
 
+def test_sweep_maxbound_matches_per_direction_loop(capsys, monkeypatch):
+    argv = ["sweep", "--maxbound", "--n", "5", "--K-grid", "0:1:0.25",
+            "--samples-per-k", "30", "--seed", "2"]
+    outputs = []
+    for chunk in (4, cli.cf.DIRECTION_CHUNK):  # 4: each K spans several blocks
+        monkeypatch.setattr(cli.cf, "DIRECTION_CHUNK", chunk)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    rng = np.random.default_rng(2)
+    for line, K in zip(outputs[0].strip().splitlines()[1:], (0.0, 0.25, 0.5, 0.75, 1.0)):
+        best = 0.0
+        for _ in range(30):
+            a = cli.cf.random_direction_fixed_sum(5, K, rng)
+            try:
+                best = max(best, cli.cf.residue_volume(a).value)
+            except EmptySection:
+                pass
+        assert float(line.split(",")[2]) == best
+
+
 def _planted_failure(tmp_path, name):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", "extremal", "--n-max", "4", "--trials", "100",
@@ -265,9 +287,11 @@ def _planted_failure(tmp_path, name):
     return check["detail"]
 
 
-def test_verify_extremal_reports_planted_bound_violation(tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", [1, cli.cf.DIRECTION_CHUNK])
+def test_verify_extremal_reports_planted_bound_violation(tmp_path, monkeypatch, chunk):
     # a bound 10% low, which several directions of the first cell exceed: the
     # witness is the first of them, found by the per-direction loop
+    monkeypatch.setattr(cli.cf, "DIRECTION_CHUNK", chunk)
     real = cli.cf.max_noncentral_bound
     monkeypatch.setattr(cli.cf, "max_noncentral_bound",
                         lambda n, K: (0.9 * real(n, K)[0], real(n, K)[1]))
@@ -283,8 +307,10 @@ def test_verify_extremal_reports_planted_bound_violation(tmp_path, monkeypatch):
     assert detail["witness"] == want
 
 
-def test_verify_extremal_reports_planted_floor_violation(tmp_path, monkeypatch):
+@pytest.mark.parametrize("chunk", [1, cli.cf.DIRECTION_CHUNK])
+def test_verify_extremal_reports_planted_floor_violation(tmp_path, monkeypatch, chunk):
     # a face-parallel floor 1% high for the one-positive pattern check
+    monkeypatch.setattr(cli.cf, "DIRECTION_CHUNK", chunk)
     real = cli.cf.special_min_volume
     monkeypatch.setattr(cli.cf, "special_min_volume", lambda n: 1.01 * real(n))
     detail = _planted_failure(tmp_path, "local_minimum_pattern")

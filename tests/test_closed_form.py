@@ -482,17 +482,16 @@ def test_samplers_match_their_reference_streams():
             got = cf.random_direction_sign_pattern(n, P, np.random.default_rng([seed, n]))
             want = sign_pattern_ref(n, P, np.random.default_rng([seed, n]))
             assert got.a.tobytes() == want.tobytes()
-            # the batched samplers return the rows of `count` scalar calls
+            # the batched samplers return the rows of `count` reference calls
             count = 1 + 7 * seed
-            for batched, scalar, arg in (
-                (cf.random_directions_fixed_sum, cf.random_direction_fixed_sum, K),
-                (cf.random_directions_sign_pattern, cf.random_direction_sign_pattern, P),
+            for batched, one, arg in (
+                (cf.random_directions_fixed_sum, lambda *args: fixed_sum_ref(*args).a, K),
+                (cf.random_directions_sign_pattern, sign_pattern_ref, P),
             ):
                 rng_b, rng_s = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
                 rows = batched(n, arg, count, rng_b)
-                dirs = [scalar(n, arg, rng_s) for _ in range(count)]
-                assert rows.tobytes() == np.array([d.a for d in dirs]).tobytes()
-                assert rows.sum(axis=1).tolist() == [d.ksum for d in dirs]
+                want = np.array([one(n, arg, rng_s) for _ in range(count)])
+                assert rows.tobytes() == want.tobytes()
                 assert rng_b.random() == rng_s.random()  # same draws consumed
 
 
@@ -529,8 +528,24 @@ def test_batched_samplers_top_up_rejected_rows(degenerate):
         assert got.tobytes() == want.tobytes()
         redrawn = degenerate == "nan" or batched is cf.random_directions_fixed_sum
         assert stream_b.used == stream_s.used == (count + redrawn) * (n + 1)
+        # the rows are those of the stream without the redrawn one
+        kept = np.delete(rows, 1, axis=0) if redrawn else rows[:count]
+        assert got.tobytes() == batched(n, arg, count, _FixedStream(kept)).tobytes()
     with pytest.raises(OutOfRange):
         cf.random_directions_fixed_sum(n, 0.0, -1, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("count", [-3, 0, 1, 6, 7, 8, 50])
+def test_direction_blocks_concatenate_to_one_call(monkeypatch, count):
+    monkeypatch.setattr(cf, "DIRECTION_CHUNK", 7)
+    for sample, arg in ((cf.random_directions_fixed_sum, 0.5),
+                        (cf.random_directions_sign_pattern, 2)):
+        rng_b, rng_s = np.random.default_rng(4), np.random.default_rng(4)
+        blocks = list(cf.direction_blocks(sample, 5, arg, count, rng_b))
+        assert all(1 <= len(b) <= 7 for b in blocks)
+        want = sample(5, arg, max(count, 0), rng_s)
+        assert np.concatenate([want[:0], *blocks]).tobytes() == want.tobytes()
+        assert rng_b.random() == rng_s.random()  # same draws consumed
 
 
 def test_sign_pattern_sampler():

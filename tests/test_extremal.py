@@ -261,8 +261,10 @@ def _min_search_reference(n, trials, seed, check_floor):
     )
 
 
+@pytest.mark.parametrize("chunk", [7, cf.DIRECTION_CHUNK])
 @pytest.mark.parametrize("n", range(2, 9))
-def test_min_search_matches_per_direction_loop(n):
+def test_min_search_matches_per_direction_loop(monkeypatch, n, chunk):
+    monkeypatch.setattr(cf, "DIRECTION_CHUNK", chunk)  # 7: cells span many blocks
     for seed in range(6):
         for trials in (n, 120, 301):
             want = _min_search_reference(n, trials, seed, check_floor=n <= 4)
@@ -270,9 +272,11 @@ def test_min_search_matches_per_direction_loop(n):
             assert got == want, (seed, trials)
 
 
-def test_min_search_witness_is_first_violation(monkeypatch):
+@pytest.mark.parametrize("chunk", [1, cf.DIRECTION_CHUNK])
+def test_min_search_witness_is_first_violation(monkeypatch, chunk):
     # a floor at the first direction's volume: that direction passes, and
     # the witness must be the first later one in draw order 1e-10 below it
+    monkeypatch.setattr(cf, "DIRECTION_CHUNK", chunk)
     n, trials, seed = 4, 200, 3
     first = cf.random_direction_sign_pattern(n, 1, np.random.default_rng(seed))
     monkeypatch.setattr(extremal, "special_min_volume",
