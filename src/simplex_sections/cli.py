@@ -231,25 +231,21 @@ def cmd_sweep(args) -> int:
         ]
         columns = ["delta", "ratio"]
     elif args.maxbound:
+        if args.samples_per_k < 0:
+            raise SystemExit2("--samples-per-k must be >= 0")
         lo, hi, step = (float(t) for t in args.K_grid.split(":"))
         ks = np.arange(lo, hi + 0.5 * step, step)
+        # every K is range-checked before any cell is sampled
+        bounds = [cf.max_noncentral_bound(args.n, float(K))[0] for K in ks]
         rng = np.random.default_rng(args.seed)
-        samples = []
-        for K in ks:
+        rows = []
+        for K, bound in zip(ks, bounds):
             best = 0.0
             for a in cf.direction_blocks(
                 cf.random_directions_fixed_sum, args.n, float(K), args.samples_per_k, rng
             ):
                 best = max(best, float(np.max(_section_volumes(a), initial=0.0)))
-            samples.append(best)
-        rows = [
-            {
-                "K": float(K),
-                "bound": cf.max_noncentral_bound(args.n, float(K))[0],
-                "best_sample": s,
-            }
-            for K, s in zip(ks, samples)
-        ]
+            rows.append({"K": float(K), "bound": bound, "best_sample": best})
         columns = ["K", "bound", "best_sample"]
     else:
         raise SystemExit2("choose one of --frustum, --ratio, --maxbound")
@@ -536,6 +532,8 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
+    if args.trials < 1:
+        raise SystemExit2("--trials must be >= 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     rec = _record("verify", {"suite": args.suite, "seed": args.seed, "trials": args.trials,
                              "n_max": args.n_max}, not args.no_timestamp)

@@ -12,15 +12,17 @@ Minkowski sum {v_i/phi_i} + {v_j/(-phi_j)}, so the staircase triangulation
 of the product of simplices (Gelfand, Kapranov & Zelevinsky, Discriminants,
 7.3) carries over to them; the section is measured as the sum of its
 simplices, whose edges are formed in closed form.  Sections of higher
-codimension come from every support system at once, decided by the exact
-signs of its codim x codim minors, and are measured over their pulling
-triangulation (De Loera, Rambau & Santos, Triangulations, 4.3), whose
-facets are the inclusion-maximal classes of the exact zero-coordinate
-labels carried from construction.  Both triangulations are measured by the
-same batched QR.
+codimension come from every support system of a block of subspaces at
+once, decided by the exact signs of its codim x codim minors, and are
+measured over their pulling triangulation (De Loera, Rambau & Santos,
+Triangulations, 4.3), whose facets are the inclusion-maximal classes of the
+exact zero-coordinate labels carried from construction, kept as bitmasks
+over the vertices.  Both triangulations are measured by the same batched
+QR, one per block of polytopes.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -182,47 +184,88 @@ def hyperplane_section_vertices(spec: SimplexSpec, b) -> SectionPolytope:
     )
 
 
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:  # cached tables are shared by every caller
+        a.setflags(write=False)
+    return arrays
+
+
+@functools.lru_cache(maxsize=None)
+def _leibniz(c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The c! permutations of range(c), one per row, and their signs."""
+    perms = np.array(list(permutations(range(c))))
+    return _frozen(perms, np.rint(np.linalg.det(np.eye(c)[perms])).astype(int))
+
+
 def _minors(m: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The c x c minors m[:, cols[s]] of a (c, n+1) matrix, exact in sign.
+    """(T, K): the c x c minors m[t][:, cols[s]] of a (T, c, n+1) stack,
+    exact in sign.
 
     Each minor is its Leibniz sum of c! products of c entries, so its float
     value is off the exact one by less than (c + c!) u sum|terms|, u the
     unit roundoff, as long as no product underflows.  A value within twice
     that of 0 is recomputed in rationals, where its sign and its zero are
     exact: a floating-point filter in front of an exact predicate (Fortune
-    & Van Wyk 1993; Shewchuk 1997).
+    & Van Wyk 1993; Shewchuk 1997).  The products multiply their factors
+    left to right and the sums add their terms in order, row by row, so a
+    matrix of the stack rounds as it would alone.
     """
-    c = m.shape[0]
-    perms = np.array(list(permutations(range(c))))
-    signs = np.rint(np.linalg.det(np.eye(c)[perms])).astype(int)
-    sub = m[:, cols]  # (c, K, c): sub[i, s, j] = m[i, cols[s, j]]
-    factors = sub[np.arange(c), :, perms]  # (c!, c, K)
-    terms = signs[:, None] * np.prod(factors, axis=1)
-    det = terms.sum(axis=0)
-    bound = (c + len(perms)) * np.finfo(float).eps * np.abs(terms).sum(axis=0)
-    # a minor whose every term has an exact zero factor is exactly 0 already
-    live = (factors != 0.0).all(axis=1).any(axis=0)
-    for s in np.flatnonzero((np.abs(det) <= bound) & live):
-        f = [[Fraction(x) for x in row] for row in sub[:, s].tolist()]
-        det[s] = float(sum(sg * math.prod(f[i][j] for i, j in enumerate(p))
-                           for p, sg in zip(perms.tolist(), signs.tolist())))
+    c = m.shape[1]
+    perms, signs = _leibniz(c)
+    col = cols[:, perms].transpose(2, 1, 0)  # col[i, p, s] = cols[s, perms[p, i]]
+    terms = m[:, 0][:, col[0]]  # (T, c!, K): the factors of row 0
+    live = terms != 0.0  # a minor whose every term has an exact zero factor is exactly 0
+    for i in range(1, c):
+        factor = m[:, i][:, col[i]]
+        terms *= factor
+        live &= factor != 0.0
+    terms *= signs[:, None]
+    det = terms.sum(axis=1)
+    bound = (c + len(perms)) * np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    for t, s in np.argwhere((np.abs(det) <= bound) & live.any(axis=1)):
+        f = [[Fraction(x) for x in row] for row in m[t][:, cols[s]].tolist()]
+        det[t, s] = float(sum(sg * math.prod(f[i][j] for i, j in enumerate(p))
+                              for p, sg in zip(perms.tolist(), signs.tolist())))
     return det
 
 
-def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPolytope:
-    """Vertices of H intersected with the simplex, H of any codimension.
+@functools.lru_cache(maxsize=None)
+def _support_tables(n1: int, codim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The codim-subsets of range(n1) (minor columns), the (codim+1)-subsets
+    (supports), and for support s and t = 0..codim the row of its minor
+    without its t-th index."""
+    colsets = np.array(list(combinations(range(n1), codim)))
+    row_of = np.zeros((n1,) * codim, dtype=np.intp)  # row_of[colset]: its row in `colsets`
+    row_of[tuple(colsets.T)] = np.arange(len(colsets))
+    supports = np.array(list(combinations(range(n1), codim + 1)))
+    drop = np.array([np.delete(np.arange(codim + 1), t) for t in range(codim + 1)])
+    return _frozen(colsets, supports, row_of[tuple(np.moveaxis(supports[:, drop], 2, 0))])
+
+
+@functools.lru_cache(maxsize=None)
+def _label_set(bits: int) -> frozenset[int]:
+    """The set bits of a zero-label bitmask."""
+    return frozenset(j for j in range(bits.bit_length()) if bits >> j & 1)
+
+
+def kdim_sections(spec: SimplexSpec, bases) -> list[SectionPolytope]:
+    """Vertices of H intersected with the simplex, for each H-perp basis of
+    a (T, codim, n+1) stack, H of any codimension.
 
     Basic feasible solutions of {lambda >= 0, sum lambda = 1, A V lambda = 0}.
-    On a support T of size codim+1, Cramer's rule along the row of ones
-    gives lambda on T proportional to w_t = (-1)^t det((A V) on T without
-    its t-th index), t = 0..codim, a minor whose sign is exact (`_minors`).
-    T gives a vertex when its w are not all zero and no two have opposite
-    signs; then lambda = |w| / sum|w| and its zero labels are the exact
-    zeros of w.
-    Supports that give one vertex share its zero set; the first is kept.
-    The dimension is the length of a chain of facets down to one vertex.
+    On a support of size codim+1, Cramer's rule along the row of ones
+    gives lambda on it proportional to w_t = (-1)^t det((A V) on the support
+    without its t-th index), t = 0..codim, a minor whose sign is exact
+    (`_minors`, over the whole stack).  A support gives a vertex when its w
+    are not all zero and no two have opposite signs; then
+    lambda = |w| / sum|w| and its zero labels are the exact zeros of w.
+    Supports of one subspace that give one vertex share its zero set; the
+    first is kept.  The dimension is the length of a chain of facets down
+    to one vertex.  Raises EmptySection when any subspace misses the
+    simplex.
     """
-    codim = basis.codim
+    bases = np.asarray(bases, dtype=float)
+    count, codim = bases.shape[:2]
     if codim > MAX_ENUM_CODIM or spec.n > MAX_ENUM_N:
         raise NotSupported(
             f"enumeration accepted up to n={MAX_ENUM_N}, codim={MAX_ENUM_CODIM}"
@@ -230,47 +273,64 @@ def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPol
     if codim > spec.n - 1 + 1:
         raise OutOfRange("codimension exceeds the section dimension range")
     n1 = spec.n + 1
-    m_constraints = basis.vectors @ spec.vertices  # (codim, n+1) in barycentric terms
-    colsets = np.array(list(combinations(range(n1), codim)))
-    row_of = np.zeros((n1,) * codim, dtype=np.intp)  # row_of[colset]: its row in `colsets`
-    row_of[tuple(colsets.T)] = np.arange(len(colsets))
-    supports = np.array(list(combinations(range(n1), codim + 1)))  # (S, codim+1)
-    drop = np.array([np.delete(np.arange(codim + 1), t) for t in range(codim + 1)])
-    w = _minors(m_constraints, colsets)[row_of[tuple(np.moveaxis(supports[:, drop], 2, 0))]]
-    w[:, 1::2] *= -1.0
-    vertex = (w > 0).any(axis=1) != (w < 0).any(axis=1)
-    if not vertex.any():
+    colsets, supports, minor_of = _support_tables(n1, codim)
+    w = _minors(bases @ spec.vertices, colsets)[:, minor_of]  # (T, S, codim+1)
+    w[..., 1::2] *= -1.0
+    vertex = (w > 0).any(axis=2) != (w < 0).any(axis=2)
+    if not vertex.any(axis=1).all():
         raise EmptySection("subspace misses the simplex")
-    w, supports = np.abs(w[vertex]), supports[vertex]
+    t, s = np.nonzero(vertex)
+    w, support = np.abs(w[t, s]), supports[s]
     lam = np.zeros((len(w), n1))
-    np.put_along_axis(lam, supports, w / w.sum(axis=1, keepdims=True), axis=1)
+    np.put_along_axis(lam, support, w / w.sum(axis=1, keepdims=True), axis=1)
     zero = np.ones(lam.shape, dtype=bool)
-    np.put_along_axis(zero, supports, w == 0.0, axis=1)
-    first: dict[frozenset[int], int] = {}
-    for i, row in enumerate(zero):
-        first.setdefault(frozenset(np.flatnonzero(row).tolist()), i)
-    keep = list(first.values())
-    zero = zero[keep]
-    dim, face = 0, tuple(range(len(keep)))
-    while len(face) > 1:
-        face, dim = _facets(zero, face)[0], dim + 1
-    return SectionPolytope(dim=dim, vertices=lam[keep] @ spec.vertices.T, zero_sets=tuple(first))
+    np.put_along_axis(zero, support, w == 0.0, axis=1)
+    bits = zero @ (1 << np.arange(n1))  # the zero set of each vertex, as a bitmask
+    keep = np.sort(np.unique(t << n1 | bits, return_index=True)[1])  # first of each
+    ends = np.searchsorted(t[keep], np.arange(count + 1))
+    out = []
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        rows = keep[lo:hi]
+        zero_sets = tuple(map(_label_set, bits[rows].tolist()))
+        classes = _label_classes(zero_sets, n1)
+        dim, face = 0, (1 << len(rows)) - 1
+        while face & (face - 1):  # more than one vertex
+            face, dim = _facets(classes, face)[0], dim + 1
+        out.append(SectionPolytope(dim=dim, vertices=lam[rows] @ spec.vertices.T,
+                                   zero_sets=zero_sets))
+    return out
 
 
-def _facets(labels: np.ndarray, face: tuple[int, ...]) -> list[tuple[int, ...]]:
+def kdim_section_vertices(spec: SimplexSpec, basis: SubspaceBasis) -> SectionPolytope:
+    """Vertices of H intersected with the simplex: one row of `kdim_sections`."""
+    return kdim_sections(spec, basis.vectors[None])[0]
+
+
+def _label_classes(zero_sets, labels: int) -> list[int]:
+    """Label class j = 0..labels-1 of a vertex list as a bitmask over its
+    vertices: bit i is set when vertex i has label j."""
+    classes = [0] * labels
+    for i, zs in enumerate(zero_sets):
+        for j in zs:
+            classes[j] |= 1 << i
+    return classes
+
+
+def _facets(classes: list[int], face: int) -> list[int]:
     """The facets of a face: its inclusion-maximal proper label classes.
 
-    Class j of a face is its vertices with label j.  Every face of a section
-    is cut out by some of its constraints lambda_j = 0, so every facet is a
-    class, and a proper class inside no other proper class is a facet.
-    Facets come in the order of their first label.
+    Faces and classes are bitmasks over the vertices.  Class j of a face is
+    its vertices with label j.  Every face of a section is cut out by some
+    of its constraints lambda_j = 0, so every facet is a class, and a proper
+    class inside no other proper class is a facet.  Facets come in the
+    order of their first label.
     """
-    idx = np.array(face)
-    on = labels[idx]
-    proper = np.flatnonzero(on.any(axis=0) & ~on.all(axis=0))
-    classes = list(dict.fromkeys(tuple(idx[on[:, j]].tolist()) for j in proper))
-    sets = [frozenset(c) for c in classes]
-    return [c for c, s in zip(classes, sets) if not any(s < t for t in sets)]
+    proper = []
+    for c in classes:
+        c &= face
+        if c and c != face and c not in proper:
+            proper.append(c)
+    return [c for c in proper if [t for t in proper if c & t == c] == [c]]
 
 
 def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
@@ -281,50 +341,67 @@ def _pulling_triangulation(poly: SectionPolytope) -> np.ndarray:
     Triangulations, 4.3).  The facets are the inclusion-maximal proper
     label classes (`_facets`), which is exact because the labels are.
     """
-    labels = np.zeros((poly.vertex_count, poly.vertices.shape[1]), dtype=bool)
-    for i, zs in enumerate(poly.zero_sets):
-        labels[i, list(zs)] = True
-    cache: dict[tuple[int, ...], np.ndarray] = {}
+    classes = _label_classes(poly.zero_sets, poly.vertices.shape[1])
+    cache: dict[int, np.ndarray] = {}
 
-    def triangulate(face: tuple[int, ...], d: int) -> np.ndarray:
+    def triangulate(face: int, d: int) -> np.ndarray:
+        apex = face & -face  # the first vertex
         if d == 1:
-            if len(face) != 2:
-                raise DegeneratePolytope(f"1-dim face with {len(face)} vertices")
-            return np.array([face])
-        if face in cache:
-            return cache[face]
-        cones = [triangulate(sub, d - 1) for sub in _facets(labels, face) if sub[0] != face[0]]
-        if not cones:
-            raise DegeneratePolytope("no proper facets found")
-        base = np.concatenate(cones)
-        cache[face] = np.concatenate([np.full((len(base), 1), face[0]), base], axis=1)
+            if face.bit_count() != 2:
+                raise DegeneratePolytope(f"1-dim face with {face.bit_count()} vertices")
+            return np.array([[apex.bit_length() - 1, (face ^ apex).bit_length() - 1]])
+        if face not in cache:
+            cones = [triangulate(sub, d - 1) for sub in _facets(classes, face) if not sub & apex]
+            if not cones:
+                raise DegeneratePolytope("no proper facets found")
+            base = np.concatenate(cones)
+            cone = np.empty((len(base), d + 1), dtype=base.dtype)
+            cone[:, 0], cone[:, 1:] = apex.bit_length() - 1, base
+            cache[face] = cone
         return cache[face]
 
-    return triangulate(tuple(range(poly.vertex_count)), poly.dim)
+    return triangulate((1 << poly.vertex_count) - 1, poly.dim)
 
 
-def polytope_volume(poly: SectionPolytope) -> VolumeResult:
-    """Intrinsic volume, summed over a triangulation in one batched QR.
+def polytope_volumes(polys) -> list[VolumeResult]:
+    """Intrinsic volumes of a sequence of polytopes, summed over their
+    triangulations in one batched QR per edge-matrix shape.
 
     A hyperplane section's staircase edges are measured as they are; a k-dim
     section over the pulling triangulation read off its zero-set labels.
     Either way the volume is sum_s |prod diag R_s| / d!, R_s from the QR
-    factorization of simplex s's (n+1, d) edge matrix, for the whole stack
-    in one call.  A dim-0 polytope counts as 1 by the point-measure
-    convention.
+    factorization of simplex s's (n+1, d) edge matrix, the simplices of a
+    polytope a contiguous slice of the stack.  A dim-0 polytope counts as 1
+    by the point-measure convention.
     """
-    if poly.vertex_count == 0:
-        raise EmptySection("empty polytope")
-    if poly.dim == 0:
-        return VolumeResult(value=1.0, method="oracle", err=0.0)
-    edges = poly.edges
-    if edges is None:
-        simp = poly.vertices[_pulling_triangulation(poly)]
-        edges = (simp[:, 1:] - simp[:, :1]).transpose(0, 2, 1)
-    r = np.linalg.qr(edges, mode="r")
-    value = float(np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1).sum())
-    value /= math.factorial(edges.shape[2])
-    return VolumeResult(value=value, method="oracle", err=1e-13 * value * poly.dim)
+    polys = list(polys)
+    values, groups = [], {}
+    for i, poly in enumerate(polys):
+        if poly.vertex_count == 0:
+            raise EmptySection("empty polytope")
+        values.append(1.0)
+        if poly.dim == 0:
+            continue
+        edges = poly.edges
+        if edges is None:
+            simp = poly.vertices[_pulling_triangulation(poly)]
+            edges = (simp[:, 1:] - simp[:, :1]).transpose(0, 2, 1)
+        groups.setdefault(edges.shape[1:], []).append((i, edges))
+    for (_, d), items in groups.items():
+        stack = items[0][1] if len(items) == 1 else np.concatenate([e for _, e in items])
+        r = np.linalg.qr(stack, mode="r")
+        simplex = np.prod(np.abs(np.diagonal(r, axis1=1, axis2=2)), axis=1)
+        lo = 0
+        for i, e in items:
+            values[i] = float(simplex[lo:lo + len(e)].sum()) / math.factorial(d)
+            lo += len(e)
+    return [VolumeResult(value=v, method="oracle", err=1e-13 * v * p.dim)
+            for v, p in zip(values, polys)]
+
+
+def polytope_volume(poly: SectionPolytope) -> VolumeResult:
+    """Intrinsic volume of one polytope: one element of `polytope_volumes`."""
+    return polytope_volumes([poly])[0]
 
 
 def frustum_volume(N: int, x: float | np.ndarray) -> float | np.ndarray:

@@ -11,6 +11,14 @@ from .errors import OutOfRange
 ORTHO_TOL = 1e-11
 
 
+def _check_orthonormal(v: np.ndarray) -> None:
+    """Raise unless the rows of v, or of every matrix of a stack, are
+    orthonormal within ORTHO_TOL."""
+    g = v @ np.swapaxes(v, -1, -2)
+    if not v.shape[-2] or np.max(np.abs(g - np.eye(v.shape[-2])), initial=0.0) > ORTHO_TOL:
+        raise ValueError("rows are not orthonormal within tolerance")
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Orthonormal basis of the orthogonal complement of a k-dim subspace H.
@@ -27,9 +35,7 @@ class SubspaceBasis:
         v = np.asarray(self.vectors, dtype=float)
         if v.ndim != 2 or v.shape[1] != self.n + 1:
             raise ValueError("basis rows must live in R^(n+1)")
-        g = v @ v.T
-        if np.max(np.abs(g - np.eye(v.shape[0]))) > ORTHO_TOL:
-            raise ValueError("rows are not orthonormal within tolerance")
+        _check_orthonormal(v)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vectors", v)
@@ -85,14 +91,35 @@ def complement_of_span(spanning) -> SubspaceBasis:
     return SubspaceBasis(n=len(full) - 1, vectors=np.array(full[m:]))
 
 
-def random_subspace_through_centroid(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
-    """H-perp basis of a random k-dim subspace containing the centroid.
-
-    A Gaussian matrix conditioned to contain the all-ones direction, then
-    orthonormalized; the fiber through the centroid is sampled
-    rotation-invariantly.
-    """
+def _centroid_bases(n: int, k: int, count: int, rng: np.random.Generator) -> np.ndarray:
     if not (1 <= k <= n):
         raise OutOfRange(f"k={k} outside 1..{n}")
-    cols = np.vstack([np.ones(n + 1) / np.sqrt(n + 1.0), rng.standard_normal((k - 1, n + 1))])
-    return complement_of_span(cols)
+    if count < 0:
+        raise OutOfRange("count >= 0 required")
+    cols = np.empty((count, k, n + 1))
+    cols[:, 0] = np.ones(n + 1) / np.sqrt(n + 1.0)
+    cols[:, 1:] = rng.standard_normal((count, k - 1, n + 1))
+    return linalg.orthonormal_completions(linalg.orthonormalize(cols))
+
+
+def random_subspaces_through_centroid(
+    n: int, k: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """(count, n+1-k, n+1): H-perp bases of `count` random k-dim subspaces
+    containing the centroid, each checked orthonormal as SubspaceBasis does.
+
+    Each is a Gaussian matrix conditioned to contain the all-ones direction,
+    then orthonormalized and completed (`linalg`); the fiber through the
+    centroid is sampled rotation-invariantly.  The draws are one
+    (count, k-1, n+1) normal array, so the rows are those of `count` calls
+    of `random_subspace_through_centroid`, bit for bit.
+    """
+    rows = _centroid_bases(n, k, count, rng)
+    _check_orthonormal(rows)
+    return rows
+
+
+def random_subspace_through_centroid(n: int, k: int, rng: np.random.Generator) -> SubspaceBasis:
+    """H-perp basis of a random k-dim subspace containing the centroid: one
+    row of `random_subspaces_through_centroid`."""
+    return SubspaceBasis(n=n, vectors=_centroid_bases(n, k, 1, rng)[0])

@@ -275,6 +275,40 @@ def test_sweep_maxbound_matches_per_direction_loop(capsys, monkeypatch):
         assert float(line.split(",")[2]) == best
 
 
+def _no_sampling(monkeypatch):
+    def sampler(*args):
+        raise AssertionError("sampled a direction")
+
+    monkeypatch.setattr(cli.cf, "random_directions_fixed_sum", sampler)
+
+
+def test_sweep_maxbound_rejects_negative_samples_before_sampling(capsys, monkeypatch):
+    _no_sampling(monkeypatch)
+    with pytest.raises(SystemExit) as got:
+        cli.main(["sweep", "--maxbound", "--n", "4", "--samples-per-k", "-2"])
+    assert got.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "--samples-per-k" in err
+
+
+def test_sweep_maxbound_checks_every_K_before_sampling(capsys, monkeypatch):
+    _no_sampling(monkeypatch)
+    code = cli.main(["sweep", "--maxbound", "--n", "4", "--K-grid", "0:2:0.1"])
+    assert code == cli.EXIT_NUMERIC
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numeric failure: OutOfRange: K=1.1 outside [0, 1]\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_trials_below_one_is_usage_error(trials, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_SUITES", {name: None for name in cli._SUITES})  # none may run
+    with pytest.raises(SystemExit) as got:
+        cli.main(["verify", "--suite", "kdim", "--n-max", "5", "--trials", trials])
+    assert got.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and "--trials must be >= 1" in err
+
+
 def _planted_failure(tmp_path, name):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", "extremal", "--n-max", "4", "--trials", "100",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from simplex_sections import closed_form as cf
-from simplex_sections import extremal, oracle
+from simplex_sections import extremal, oracle, subspaces
 from simplex_sections.errors import CounterexampleFound, OutOfRange
 
 
@@ -295,6 +296,83 @@ def test_verify_kdim_bounds():
     assert rep.witness_saturates
     assert rep.max_ratio_general <= 1.0 + 1e-12
     assert rep.witness_value == pytest.approx(math.sqrt(6) / 4, rel=1e-12, abs=0)
+
+
+def _kdim_bounds_reference(n, k, trials, seed):
+    """The per-subspace loop the blocked sweep replaced: its report, or the
+    CounterexampleFound it raises, and every (volume, qualified) pair."""
+    general, conditional = extremal.brascamp_lieb_bounds(n, k)
+    threshold = (n + 1.0 - k) / (n + 2.0 - k)
+    rng = np.random.default_rng(seed)
+    spec = oracle.regular_simplex(n)
+    seen, max_general, max_conditional, qualified, raised = [], 0.0, 0.0, 0, None
+    for _ in range(trials):
+        basis = subspaces.random_subspace_through_centroid(n, k, rng)
+        vol = oracle.polytope_volume(oracle.kdim_section_vertices(spec, basis)).value
+        near = bool(np.all(basis.vertex_distances_sq() <= threshold + 1e-12))
+        seen.append((vol, near))
+        if raised is None and vol > general + 1e-9:
+            raised = (f"volume {vol} above the general bound {general}", basis.vectors.tolist())
+        max_general = max(max_general, vol / general)
+        if near:
+            qualified += 1
+            if raised is None and vol > conditional + 1e-9:
+                raised = (f"volume {vol} above the sharp bound {conditional}",
+                          basis.vectors.tolist())
+            max_conditional = max(max_conditional, vol / conditional)
+    witness = oracle.polytope_volume(oracle.kdim_section_vertices(
+        spec, extremal.conjectured_kdim_maximizer(n, k))).value
+    report = extremal.SubspaceBoundReport(
+        n=n, k=k, trials=trials, general_bound=general, conditional_bound=conditional,
+        max_ratio_general=max_general, max_ratio_conditional=max_conditional,
+        qualified_count=qualified, witness_value=witness,
+        witness_saturates=abs(witness - conditional) <= 1e-9,
+    )
+    return report, raised, seen
+
+
+@pytest.mark.parametrize("chunk", [7, cf.DIRECTION_CHUNK])
+def test_verify_kdim_bounds_matches_per_subspace_loop(chunk, monkeypatch):
+    monkeypatch.setattr(cf, "DIRECTION_CHUNK", chunk)  # 7: many blocks per sweep
+    for n, k, trials in [(4, 3, 40), (5, 3, 23), (6, 4, 61), (7, 5, 15), (8, 5, 9), (5, 2, 30)]:
+        want, raised, _ = _kdim_bounds_reference(n, k, trials, n * k)
+        assert raised is None
+        got = extremal.verify_kdim_bounds(n, k, trials, n * k)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+
+@pytest.mark.parametrize("kind", ["general", "sharp", "both"])
+@pytest.mark.parametrize("chunk", [7, cf.DIRECTION_CHUNK])
+def test_verify_kdim_bounds_witness_is_first_violation(kind, chunk, monkeypatch):
+    # plant a bound between the largest volume before subspace 14 and its
+    # own, larger one: the first violation opens the third block of 7, and
+    # subspace 18 of the same block violates too
+    n, k, trials, seed, first = 5, 3, 60, 37, 14
+    general, conditional = extremal.brascamp_lieb_bounds(n, k)
+    _, _, seen = _kdim_bounds_reference(n, k, trials, seed)
+    vol, near = seen[first]
+    before = max(v for v, _ in seen[:first])  # qualified or not
+    planted = (before + vol) / 2.0
+    assert near and vol > before + 1e-6 and seen[18][1] and seen[18][0] > planted
+    bounds = {"general": (planted, conditional), "sharp": (general, planted),
+              "both": (planted, planted)}[kind]
+    monkeypatch.setattr(extremal, "brascamp_lieb_bounds", lambda n, k: bounds)
+    _, raised, _ = _kdim_bounds_reference(n, k, trials, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(first + 1):
+        basis = subspaces.random_subspace_through_centroid(n, k, rng)
+    name = "sharp" if kind == "sharp" else "general"  # the general bound is checked first
+    assert raised == (f"volume {vol} above the {name} bound {planted}", basis.vectors.tolist())
+    monkeypatch.setattr(cf, "DIRECTION_CHUNK", chunk)
+    with pytest.raises(CounterexampleFound) as got:
+        extremal.verify_kdim_bounds(n, k, trials, seed)
+    assert (str(got.value), got.value.witness) == raised
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_kdim_bounds_needs_a_trial(trials):
+    with pytest.raises(OutOfRange):
+        extremal.verify_kdim_bounds(4, 3, trials, 1)
 
 
 def test_kdim_witness_closed_form():

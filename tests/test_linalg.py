@@ -111,3 +111,25 @@ def test_extend_rank_deficient():
         linalg.extend_to_orthonormal_basis(np.eye(3)[[0, 1, 2, 0]], 3)
     with pytest.raises(RankDeficient):
         linalg.extend_to_orthonormal_basis([np.zeros(4)], 4)
+
+
+def test_stacked_orthonormalize_and_completion_match_each_matrix():
+    # a stack rounds matrix by matrix as one matrix does alone
+    rng = np.random.default_rng(12)
+    for dim in range(2, 14):
+        for m in range(1, dim + 1):
+            a = rng.standard_normal((5, m, dim))
+            q = linalg.orthonormalize(a)
+            rest = linalg.orthonormal_completions(q)
+            assert rest.shape == (5, dim - m, dim)
+            for t in range(5):
+                assert np.array_equal(q[t], linalg.orthonormalize(a[t]))
+                full = np.array(linalg.extend_to_orthonormal_basis(a[t], dim))
+                assert np.array_equal(np.concatenate([q[t], rest[t]]), full)
+
+
+def test_stacked_orthonormalize_rank_deficient():
+    a = np.random.default_rng(3).standard_normal((4, 2, 5))
+    a[2, 1] = 2.0 * a[2, 0]
+    with pytest.raises(RankDeficient):
+        linalg.orthonormalize(a)

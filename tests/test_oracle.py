@@ -359,6 +359,75 @@ def test_kdim_enumeration_matches_exact_rationals(basis):
     assert np.max(np.abs(poly.vertices - points)) <= 1e-12
 
 
+def _block_cases():
+    """The enumeration inputs above, the thin squares, the witness at
+    n = 3-8 and three single-vertex (dim-0) sections."""
+    yield from _enumeration_cases()
+    yield _near_singular_basis()
+    for t in (1e-5, 1e-7, 1e-9, 1e-11):
+        yield subspaces.hyperplane_basis([1.0, 1.0, -t, -t])
+    for n in range(3, 9):
+        for k in range(max(2, n - 3), n + 1):
+            yield extremal.conjectured_kdim_maximizer(n, k)
+    for n in (2, 3, 4):
+        yield subspaces.complement_of_span([np.eye(n + 1)[0]])
+
+
+def _assert_blocks_match_one_subspace_calls(bases, chunk):
+    # one block per shape, cut into blocks of `chunk` subspaces; then every
+    # polytope, hyperplane sections with staircase edges among them, is
+    # measured in one polytope_volumes call
+    shapes: dict[tuple, list] = {}
+    for basis in bases:
+        shapes.setdefault(basis.vectors.shape, []).append(basis)
+    polys, want = [], []
+    for group in shapes.values():
+        spec = oracle.regular_simplex(group[0].n)
+        for lo in range(0, len(group), chunk):
+            block = group[lo:lo + chunk]
+            for basis, got in zip(block, oracle.kdim_sections(spec, [b.vectors for b in block])):
+                one = oracle.kdim_section_vertices(spec, basis)
+                assert (got.dim, got.zero_sets) == (one.dim, one.zero_sets)
+                assert np.array_equal(got.vertices, one.vertices)
+                polys.append(got)
+                want.append(oracle.polytope_volume(one))
+    for a in list(_codim1_directions())[::5]:
+        poly = oracle.hyperplane_section_vertices(oracle.regular_simplex(len(a) - 1), a)
+        polys.append(poly)
+        want.append(oracle.polytope_volume(poly))
+    got = oracle.polytope_volumes(polys)
+    assert [(r.value, r.err) for r in got] == [(r.value, r.err) for r in want]
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 200])
+def test_kdim_sections_match_one_subspace_calls(chunk):
+    cases = list(_block_cases())
+    assert any(oracle.kdim_section_vertices(oracle.regular_simplex(b.n), b).dim == 0
+               for b in cases)
+    _assert_blocks_match_one_subspace_calls(cases, chunk)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.lists(_degenerate_subspaces(), min_size=1, max_size=8))
+def test_kdim_sections_match_one_subspace_calls_on_degenerate_blocks(bases):
+    def meets(basis):
+        try:
+            oracle.kdim_section_vertices(oracle.regular_simplex(basis.n), basis)
+        except EmptySection:
+            return False
+        return True
+
+    _assert_blocks_match_one_subspace_calls([b for b in bases if meets(b)], 3)
+
+
+def test_kdim_sections_refuse_a_block_with_a_missing_subspace():
+    # the hyperplane sum(x) = 0 misses the simplex, whose points sum to 1
+    rows = [subspaces.hyperplane_basis([1.0, -1.0, 0.5, 0.0]).vectors,
+            subspaces.hyperplane_basis([1.0, 1.0, 1.0, 1.0]).vectors]
+    with pytest.raises(EmptySection):
+        oracle.kdim_sections(oracle.regular_simplex(3), rows)
+
+
 # --- polytope volume -----------------------------------------------------------
 
 def test_segment_volume():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from simplex_sections import subspaces
-from simplex_sections.errors import RankDeficient
+from simplex_sections.errors import OutOfRange, RankDeficient
 
 
 def test_basis_orthonormal_validation():
@@ -65,3 +65,43 @@ def test_sum_squares_matches_definition():
     assert b.sum_squares() == pytest.approx(want, rel=1e-13, abs=0)
     # rows orthogonal to the all-ones vector have zero coordinate sums
     assert b.sum_squares() == pytest.approx(0.0, abs=1e-20)
+
+
+def subspace_ref(n, k, rng):
+    # the per-call sampler as it was before the batched one: a Gaussian
+    # matrix with the all-ones row, one Householder QR sign-fixed to
+    # Gram-Schmidt, then column pivoting on the complement projector
+    a = np.vstack([np.ones(n + 1) / np.sqrt(n + 1.0), rng.standard_normal((k - 1, n + 1))])
+    q, r = np.linalg.qr(a.T)
+    basis = np.empty((n + 1, n + 1))
+    basis[:k] = q.T * np.sign(np.diag(r))[:, None]
+    w = np.eye(n + 1) - basis[:k].T @ basis[:k]
+    for i in range(k, n + 1):
+        col_sq = np.einsum("ij,ij->j", w, w)
+        j = int(np.argmax(col_sq))
+        v = w[:, j] / math.sqrt(col_sq[j])
+        w -= v[:, None] * (v @ w)
+        basis[i] = v
+    return basis[k:]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_batched_sampler_matches_per_call_reference(n):
+    for k in range(1, n + 1):
+        seeds = [np.random.default_rng([n, k]) for _ in range(3)]
+        block = subspaces.random_subspaces_through_centroid(n, k, 9, seeds[0])
+        assert block.shape == (9, n + 1 - k, n + 1)
+        for rows in block:
+            want = subspace_ref(n, k, seeds[1])
+            assert np.array_equal(rows, want)
+            one = subspaces.random_subspace_through_centroid(n, k, seeds[2])
+            assert np.array_equal(one.vectors, want)
+
+
+def test_batched_sampler_counts():
+    rng = np.random.default_rng(0)
+    assert subspaces.random_subspaces_through_centroid(5, 3, 0, rng).shape == (0, 3, 6)
+    with pytest.raises(OutOfRange):
+        subspaces.random_subspaces_through_centroid(5, 3, -1, rng)
+    with pytest.raises(OutOfRange):
+        subspaces.random_subspaces_through_centroid(5, 6, 1, rng)
