@@ -469,10 +469,12 @@ def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
     return checks
 
 
+_KDIM_PAIRS = ((4, 3), (5, 3), (5, 4), (6, 4))  # (n, k) checked by the kdim suite
+
+
 def _suite_kdim(n_max: int, trials: int, seed: int) -> list[dict]:
     checks = []
-    pairs = [(4, 3), (5, 3), (5, 4), (6, 4)]
-    pairs = [(n, k) for n, k in pairs if n <= n_max]
+    pairs = [(n, k) for n, k in _KDIM_PAIRS if n <= n_max]
 
     def run_pair(nk):
         n, k = nk
@@ -535,6 +537,9 @@ def cmd_verify(args) -> int:
     if args.trials < 1:
         raise SystemExit2("--trials must be >= 1")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
+    kdim_n_min = min(n for n, _ in _KDIM_PAIRS)
+    if "kdim" in names and args.n_max < kdim_n_min:
+        raise SystemExit2(f"--suite {args.suite} needs --n-max >= {kdim_n_min} for a k-dim check")
     rec = _record("verify", {"suite": args.suite, "seed": args.seed, "trials": args.trials,
                              "n_max": args.n_max}, not args.no_timestamp)
     all_checks = []

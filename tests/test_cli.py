@@ -309,6 +309,17 @@ def test_verify_trials_below_one_is_usage_error(trials, capsys, monkeypatch):
     assert out == "" and "--trials must be >= 1" in err
 
 
+@pytest.mark.parametrize("suite, n_max", [("kdim", "3"), ("all", "3"), ("all", "1")])
+def test_verify_kdim_below_smallest_n_is_usage_error(suite, n_max, capsys, monkeypatch):
+    # below n = 4 the kdim suite has no (n, k) pair to check: a vacuous PASS
+    monkeypatch.setattr(cli, "_SUITES", {name: None for name in cli._SUITES})  # none may run
+    with pytest.raises(SystemExit) as got:
+        cli.main(["verify", "--suite", suite, "--n-max", n_max, "--trials", "5"])
+    assert got.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"--suite {suite} needs --n-max >= 4" in err
+
+
 def _planted_failure(tmp_path, name):
     out = tmp_path / "report.json"
     code = cli.main(["verify", "--suite", "extremal", "--n-max", "4", "--trials", "100",

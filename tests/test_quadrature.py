@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from simplex_sections import closed_form as cf
-from simplex_sections import oracle, quadrature, subspaces
+from simplex_sections import extremal, oracle, quadrature, subspaces
 from simplex_sections.errors import (
     EmptySection,
     NotSupported,
@@ -135,6 +135,104 @@ def test_kdim_codim2_random_vs_oracle():
         assert res.value == pytest.approx(want, rel=1e-5, abs=0)
 
 
+def _prod_square_integrand(rows):
+    """The square integrand as np.prod over a (points, n+1) complex array."""
+    r0, r1 = rows
+
+    def ft(u1, u2):
+        t1, t2 = np.tan(u1), np.tan(u2)
+        phase = np.multiply.outer(t1, r0) + np.multiply.outer(t2, r1)
+        return 1.0 / np.prod(1.0 + 1j * phase, axis=-1) * (1.0 + t1 * t1) * (1.0 + t2 * t2)
+
+    return ft
+
+
+def _prod_line_integrand(coeffs):
+    """The folded line integrand as np.prod over (points, n+1) complex arrays."""
+    power = coeffs.size - 2
+
+    def h(x):
+        near = 1.0 / np.prod(1.0 + 1j * np.multiply.outer(x, coeffs), axis=-1)
+        far = 1.0 / np.prod(x[:, None] + 1j * coeffs, axis=-1)
+        return near.real + x**power * far.real
+
+    return h
+
+
+def _edge_nodes(lo, hi):
+    """The 15-point Gauss nodes of [lo, hi], as `_gauss_cells` places them."""
+    nodes, _ = quadrature._gauss_grid(15, 1)
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes[0]
+
+
+def _square_points(rng):
+    # uniform points, and the nodes of depth-40 cells next to u = +-pi/2,
+    # where |tan| is 7e11 to 1e14, paired with each other and with uniform ones
+    w = 0.5 * math.pi * 2.0**-40
+    edge = np.concatenate([_edge_nodes(0.5 * math.pi - w, 0.5 * math.pi),
+                           _edge_nodes(-0.5 * math.pi, -0.5 * math.pi + w)])
+    u1, u2 = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, (2, 4000))
+    e1, e2 = (a.ravel() for a in np.meshgrid(edge, edge))
+    mix = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, edge.size)
+    return (np.concatenate([u1, e1, edge, mix]), np.concatenate([u2, e2, mix, edge]))
+
+
+def _square_rows():
+    rng = np.random.default_rng([18, 2])
+    for n in range(2, 13):
+        yield f"random-{n}", rng.standard_normal((2, n + 1))
+        if n >= 3:
+            yield f"witness-{n}", extremal.conjectured_kdim_maximizer(n, n - 1).vectors
+    yield "separable", _separable_basis().vectors
+    r = rng.standard_normal(6)
+    yield "zero-row", np.array([r, np.zeros(6)])
+    yield "parallel", np.array([r, -0.5 * r])
+
+
+def test_square_integrand_matches_complex_prod_bit_for_bit():
+    pts = _square_points(np.random.default_rng([18, 1]))
+    for name, rows in _square_rows():
+        rows = np.asarray(rows, dtype=float)
+        got = quadrature._compactified_integrand(rows)(*pts)
+        assert np.array_equal(got, _prod_square_integrand(rows)(*pts)), name
+
+
+def _line_coeffs():
+    rng = np.random.default_rng([18, 3])
+    for n in range(3, 13):
+        yield f"random-{n}", cf.Direction.make(rng.standard_normal(n + 1)).a
+        for K in (0.0, 0.9, 1.0 - 1e-6):
+            yield f"K={K}-{n}", cf.random_direction_fixed_sum(n, K, rng).a
+    yield "tie", np.array([0.5, 0.5 * (1.0 + 1e-9), 0.3, -0.4, -0.6])
+    yield "1e-12", np.array([0.5, 1e-12, 0.3, -0.4, -0.6])
+    yield "zero", np.array([0.6, 0.0, 0.2, -0.3, -0.5, 0.0])
+
+
+def test_line_integrand_matches_complex_prod_bit_for_bit():
+    rng = np.random.default_rng([18, 4])
+    x = np.concatenate([rng.uniform(0.0, 1.0, 2000),
+                        *(_edge_nodes(a, b) for a, b in quadrature._LINE_GRID),
+                        _edge_nodes(0.0, 2.0**-70), [1.0]])  # depth 40 next to x = 0
+    for name, coeffs in _line_coeffs():
+        got = quadrature._folded_line_integrand(coeffs)(x)
+        assert np.array_equal(got, _prod_line_integrand(coeffs)(x)), name
+
+
+def test_quadratures_match_complex_prod_integrands(monkeypatch):
+    # the whole refinement, heap order included, is unmoved by the kernel
+    rng = np.random.default_rng([18, 5])
+    bases = [_separable_basis()] + [
+        subspaces.random_subspace_through_centroid(n, n - 1, rng) for n in (4, 6, 8)]
+    dirs = [cf.Direction.make(rng.standard_normal(n + 1)) for n in (3, 6, 10)]
+    got = ([quadrature.kdim_volume_quadrature(b, 1e-6) for b in bases]
+           + [quadrature.hyperplane_volume_quadrature(a, 1e-9) for a in dirs])
+    monkeypatch.setattr(quadrature, "_compactified_integrand", _prod_square_integrand)
+    monkeypatch.setattr(quadrature, "_folded_line_integrand", _prod_line_integrand)
+    want = ([quadrature.kdim_volume_quadrature(b, 1e-6) for b in bases]
+            + [quadrature.hyperplane_volume_quadrature(a, 1e-9) for a in dirs])
+    assert [(r.value, r.err) for r in got] == [(r.value, r.err) for r in want]
+
+
 def _reference_square_volume(basis, tol):
     """The per-cell square quadrature with its 1e-3 -> target restart.
 
@@ -191,7 +289,7 @@ def _reference_square_volume(basis, tol):
         assert err_sum <= tol_abs
         return total, err_sum
 
-    f = quadrature._compactified_integrand(np.asarray(basis.vectors, dtype=float))
+    f = _prod_square_integrand(np.asarray(basis.vectors, dtype=float))
     val, err = run(f, 1e-3)
     target = max(tol, 1e-10) * max(abs(val.real), 1e-6)
     if target < 1e-3:
