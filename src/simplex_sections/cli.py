@@ -548,7 +548,8 @@ def cmd_verify(args) -> int:
         for c in checks:
             c["suite"] = name
             status = "PASS" if c["passed"] else "FAIL"
-            print(f"[{name}] {c['name']}: {status} ({c['seconds']:.2f}s)")
+            seconds = "" if args.no_timestamp else f" ({c['seconds']:.2f}s)"  # comparison mode
+            print(f"[{name}] {c['name']}: {status}{seconds}")
         all_checks.extend(checks)
     rec["results"] = all_checks
     rec["pass"] = all(c["passed"] for c in all_checks)

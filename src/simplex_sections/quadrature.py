@@ -3,10 +3,13 @@
 The k-dimensional section volume equals a prefactor times the integral over
 R^(n+1-k) of prod_j 1/(1 + i <row_j, s>), where the rows collect the
 coordinates of an orthonormal basis of H-perp.  Codimension 1 reduces to a
-line integral of an even real part, folded from [0, inf) onto [0, 1];
-codimension 2 is a tensor integral over the tangent-compactified square.
-Both run on one Gauss-pair rule for boxes of any dimension, `_gauss_cells`,
-and one adaptive driver, `_adaptive`.  Higher
+line integral of an even real part, folded from [0, inf) onto [0, 1].
+Codimension 2 integrates over the half plane, cut at the ridges of the
+integrand into sectors (sector decomposition: Hepp 1966, Binoth & Heinrich
+2000); each sector is mapped onto the tangent-compactified quadrant, with
+its two bounding ridges on the axes, and the sectors lie side by side in
+one grid.  Both run on one Gauss-pair rule for boxes of any dimension,
+`_gauss_cells`, and one adaptive driver, `_adaptive`.  Higher
 codimension is served by the vertex-enumeration oracle instead; the
 Monte Carlo check `monte_carlo_cone_volume` takes any codimension.
 
@@ -31,7 +34,7 @@ from .errors import EmptySection, NotSupported, OutOfRange, TolUnreachable, Zero
 from .subspaces import SubspaceBasis
 
 MAX_DEPTH = 40
-CHUNK = 64  # cells per call, 14400 square points at 15^2; 128 as fast, 256 and 512 ~1.5x slower
+CHUNK = 64  # cells per call, 14400 points at 15^2; 32 to 256 within 15% on sector grids
 CONE_CHUNK = 2**16  # Monte Carlo rows per exponential fill; 4.5 MiB of draws at k = 9
 CONE_ROUND_U = 64  # unit roundoffs allowed for the prefactor, det B_J and the weight sums
 
@@ -74,9 +77,10 @@ def _gauss_cells(f, cells: np.ndarray):
 def _adaptive(cells_fn, grid: np.ndarray, tol: float, max_cells: int):
     """Globally adaptive Gauss-pair integration over the cells of `grid`.
 
-    `grid` holds 1-D intervals (a, b) or 2-D cells (a, b, c, d), one per
-    row; `cells_fn(cells)` returns the values and error estimates of such
-    an array of cells, one integrand call per rule.  The worst-error cell
+    `grid` holds boxes (a1, b1, ..., ad, bd), one per row: the line's
+    intervals or the sector cells (a, b, c, d); `cells_fn(cells)` returns
+    the values and error estimates of such an array of boxes, one
+    integrand call per rule.  The worst-error cell
     is always split into its 2^d halves, ties broken by insertion order.
     Refinement first meets 1e-3, which sets the absolute target
     tol * max(|Re I|, 1e-6) from the total, then resumes on the same heap:
@@ -189,54 +193,159 @@ def hyperplane_basis_of(a: Direction) -> SubspaceBasis:
     return SubspaceBasis(n=a.n, vectors=np.array([a.a]))
 
 
-def _compactified_integrand(rows: np.ndarray):
-    """The plane integrand pulled back through s_i = tan(u_i).
+def _sectors(rows: np.ndarray):
+    """The ridge sectors of the plane integrand prod_j 1/(1 + i <r_j, s>).
 
-    The Jacobian sec^2(u1) sec^2(u2) exactly cancels the quadratic radial
-    decay, so any absolutely integrable product stays bounded on the open
-    u-square and no truncation radius or tail bound is needed.  The product
-    over the n+1 rows runs in real arithmetic (see the module docstring),
-    with factors 1 + i x, x = t1 r0_j + t2 r1_j.
+    Column r_j of the (2, n+1) `rows` slows the decay of the integrand
+    along its ridge, the line through d_j perpendicular to r_j.  The
+    distinct ridge angles theta_1 < ... < theta_m in [0, pi) cut the half
+    plane into m sectors, the last one wrapping to theta_1 + pi.  Sector k
+    runs from d_k to d_(k+1) and is the quadrant s = alpha d_k + beta d_(k+1),
+    alpha, beta >= 0, with Jacobian |det[d_k d_(k+1)]|; its factors are
+    1 + i (alpha p_j + beta q_j), p_j = <r_j, d_k> and q_j = <r_j, d_(k+1)>.
+    A column whose ridge is d_k gets p_j = 0 in sector k and q_j = 0 in
+    sector k-1 exactly, not a rounding residue, so every ridge runs along
+    an axis of the two sectors it bounds.  A zero column has no ridge; r_j
+    and -r_j share one.  Rows of rank 2, as a basis has, give m >= 2.
+
+    Returns d, shape (m+1, 2), the unit ridge directions d_1..d_m and -d_1;
+    p and q, shape (m, n+1); and the Jacobians, shape (m,).
     """
-    pairs = list(zip(*rows.tolist()))
+    cols = rows.T
+    live = np.flatnonzero(cols.any(axis=1))
+    d = np.column_stack([-cols[live, 1], cols[live, 0]])
+    d /= np.hypot(d[:, 0], d[:, 1])[:, None]
+    d[(d[:, 1] < 0.0) | ((d[:, 1] == 0.0) & (d[:, 0] < 0.0))] *= -1.0  # angle in [0, pi)
+    _, first, ridge = np.unique(np.arctan2(d[:, 1], d[:, 0]), return_index=True,
+                                return_inverse=True)
+    d = np.vstack([d[first], -d[first[0]]])
+    m = len(first)
+    p, q = d[:-1] @ cols.T, d[1:] @ cols.T
+    p[ridge, live] = 0.0
+    q[(ridge - 1) % m, live] = 0.0
+    jac = np.abs(d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0])
+    return d, p, q, jac
+
+
+STRIP_EPS = 1e-13  # a feature past which less of the integral than this lies needs no mark
+MARK_SLACK = 16.0  # the last finite mark may sit 16x short of the feature it must show
+MAX_MARK_EXP = 24  # 4^24 = 2.8e14: further marks would sit within a few ulps of pi/2
+
+
+def _reach(c: np.ndarray, jac: float, d: int) -> float:
+    """1/|c_j| for the smallest |c_j| whose feature holds a share of the
+    integral above STRIP_EPS, along a sector axis (d = 1) or its diagonal
+    alpha = beta (d = 2).
+
+    At w = 1/alpha the factor of column j has decayed to about w/|c_j| once
+    w < |c_j| and is still about 1 above it; c_j is p_j on the alpha axis,
+    q_j on the beta axis and p_j + q_j on the diagonal.  With the nonzero
+    |c_j| sorted down, a_0 >= a_1 >= ..., the pulled-back integrand just
+    above w = a_k is about jac w^(k-2d) / (a_0 ... a_(k-1)), so the region
+    past it, a strip of width a_k along the axis or a corner of area a_k^2
+    at the diagonal, holds about M_k = jac a_k^(k-d) / (a_0 ... a_(k-1)).
+    M_k = M_(k-1) (a_k/a_(k-1))^(k-d), so M falls with k once k >= d.
+
+    On an axis a small a_k comes from a ridge at a small angle delta just
+    outside it (a_k = |r_j| sin delta) or from a short column.  At the
+    diagonal it comes from a thin sector between nearly parallel ridges:
+    with only two other columns decaying there, its corner holds about
+    jac / (a_0 a_1) for every factor 4 in w down to the cluster's own scale.
+    """
+    a = sorted((abs(x) for x in c.tolist() if x), reverse=True)
+    reach, share = 0.0, jac / a[0] ** d
+    for k, ak in enumerate(a):
+        if k:
+            share *= (ak / a[k - 1]) ** (k - d)
+        if share > STRIP_EPS:
+            reach = 1.0 / ak
+        elif k >= d:
+            break
+    return reach
+
+
+def _axis_marks(reach: float) -> list[float]:
+    """Marks v = 0, arctan 4^e for e = 0, 1, 2, ..., E, and pi/2 on one axis.
+
+    E is the least from 2 up with 4^E >= reach / MARK_SLACK: the last cell
+    then holds every feature `_reach` found within MARK_SLACK of its width,
+    where its 15-point nodes see it and the Gauss-pair error estimate
+    calls for refinement.  Without that reach a feature at w << the last
+    cell's width is invisible to both rules.
+    """
+    top = 2
+    while 4.0**top * MARK_SLACK < reach and top < MAX_MARK_EXP:
+        top += 1
+    return [0.0] + [math.atan(4.0**e) for e in range(top + 1)] + [0.5 * math.pi]
+
+
+def _sector_grid(p: np.ndarray, q: np.ndarray, jac: np.ndarray) -> np.ndarray:
+    """The starting cells of the sectors, folded into [0, m pi/2] x [0, pi/2].
+
+    Sector k takes u1 in [k pi/2, (k+1) pi/2], v1 = u1 - k pi/2, and
+    u2 = v2, cut at the marks of its two axes (`_axis_marks`), each reaching
+    as far as its own features and those of the diagonal (`_reach`): 16
+    cells when no ridge is near and no column short.  One grid for all
+    sectors puts them on one `_adaptive` heap; cells never straddle a
+    sector edge.
+    """
+    cells = []
+    for k, (pk, qk, jk) in enumerate(zip(p, q, jac.tolist())):
+        lo, hi = k * (0.5 * math.pi), (k + 1) * (0.5 * math.pi)
+        corner = _reach(pk + qk, jk, 2)
+        inner = {lo + v for v in _axis_marks(max(_reach(pk, jk, 1), corner))[1:-1]}
+        xs = [lo] + sorted(x for x in inner if x < hi) + [hi]  # far marks may round onto hi
+        ys = _axis_marks(max(_reach(qk, jk, 1), corner))
+        cells += [(a, b, c, e) for a, b in zip(xs, xs[1:]) for c, e in zip(ys, ys[1:])]
+    return np.array(cells)
+
+
+def _sector_integrand(p: np.ndarray, q: np.ndarray, jac: np.ndarray):
+    """The plane integrand on the folded sector cells of `_sector_grid`.
+
+    A point (u1, u2) lies in the last sector k with k pi/2 <= u1 (a point
+    on an edge belongs to the sector above it), at alpha = tan(u1 - k pi/2)
+    and beta = tan(u2).  The Jacobian jac_k sec^2 sec^2 cancels the
+    quadratic radial decay, so the pulled-back integrand stays bounded and
+    needs no truncation radius or tail bound.  The points of one cell are
+    contiguous and `_adaptive` passes cells sector by sector, so they come
+    in runs of one sector; each run forms the product over its sector's
+    nonzero (p_j, q_j) in real arithmetic (see the module docstring), with
+    factors 1 + i x, x = t1 p_j + t2 q_j.
+    """
+    edges = np.arange(len(jac)) * (0.5 * math.pi)
+    pairs = [[(a, b) for a, b in zip(pk, qk) if a or b] for pk, qk in zip(p.tolist(), q.tolist())]
+    jacs = jac.tolist()
 
     def ft(u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        t1, t2 = np.tan(u1), np.tan(u2)
-        re, im = 1.0, 0.0
-        for a, b in pairs:
-            x = t1 * a + t2 * b
-            re, im = re - im * x, re * x + im  # times (1 + i x)
-        return _reciprocal(re, im) * (1.0 + t1 * t1) * (1.0 + t2 * t2)
+        sector = np.searchsorted(edges, u1, side="right") - 1
+        cuts = (np.flatnonzero(sector[1:] != sector[:-1]) + 1).tolist()
+        out = np.empty(u1.shape, complex)
+        for lo, hi in zip([0] + cuts, cuts + [u1.size]):
+            k = int(sector[lo])
+            t1, t2 = np.tan(u1[lo:hi] - edges[k]), np.tan(u2[lo:hi])
+            re, im = 1.0, 0.0
+            for a, b in pairs[k]:
+                x = t1 * a + t2 * b
+                re, im = re - im * x, re * x + im  # times (1 + i x)
+            out[lo:hi] = _reciprocal(re, im) * ((1.0 + t1 * t1) * (1.0 + t2 * t2) * jacs[k])
+        return out
 
     return ft
-
-
-def _square_grid() -> np.ndarray:
-    """The 16 x 32 = 512 starting cells of [0, pi/2] x [-pi/2, pi/2].
-
-    Marks sit at u = 0, arctan(4^e) for e = 0..14, and pi/2: the inner
-    marks are in ratio 4 in s = tan u, so in u the cells crowd toward
-    +-pi/2.  The grid is coarse on purpose: `_adaptive` refines where the
-    error is.
-    """
-    xs, raw = [0.0], 1.0
-    while (m := float(np.arctan(raw))) < 0.5 * math.pi - 1e-9:
-        xs.append(m)
-        raw *= 4.0
-    xs.append(0.5 * math.pi)
-    ys = sorted(set([-v for v in xs] + xs))
-    return np.array([(a, b, c, d) for a, b in zip(xs, xs[1:]) for c, d in zip(ys, ys[1:])])
 
 
 def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeResult:
     """Section volume for codimension 1 or 2 via the Fourier formula.
 
     Codimension 1 delegates to the line integral.  Codimension 2 integrates
-    the tangent-compactified integrand over a finite square: the
-    substitution's Jacobian cancels the quadratic radial decay, so every
-    absolutely integrable case is covered without a truncation radius.
-    Both run on `_adaptive`, the square with cells batched CHUNK at a time.
-    Codimension >= 3 is not supported here (the oracle covers it).
+    over the half plane cut into ridge sectors (`_sectors`; Hepp 1966,
+    Binoth & Heinrich 2000), each mapped onto the quadrant so that its two
+    bounding ridges are axes, then tangent-compactified: the Jacobian
+    cancels the quadratic radial decay, so every absolutely integrable case
+    is covered without a truncation radius, and no slowly decaying ridge
+    crosses a cell.  Both run on `_adaptive`, the sectors as one grid with
+    cells batched CHUNK at a time.  Codimension >= 3 is not supported here
+    (the oracle covers it).
     """
     if basis.codim == 1:
         return hyperplane_volume_quadrature(
@@ -244,9 +353,9 @@ def kdim_volume_quadrature(basis: SubspaceBasis, tol: float = 1e-6) -> VolumeRes
         )
     if basis.codim != 2:
         raise NotSupported("quadrature implemented for codimension 1 and 2 only")
-    ft = _compactified_integrand(np.asarray(basis.vectors, dtype=float))
-    cells = partial(_gauss_cells, ft)
-    val, err = _adaptive(cells, _square_grid(), max(tol, 1e-10), max_cells=24000)
+    _, p, q, jac = _sectors(np.asarray(basis.vectors, dtype=float))
+    cells = partial(_gauss_cells, _sector_integrand(p, q, jac))
+    val, err = _adaptive(cells, _sector_grid(p, q, jac), max(tol, 1e-10), max_cells=24000)
     pref = _direct_prefactor(basis)
     scale = 2.0 / (2.0 * math.pi) ** 2  # doubled half-plane integral
     return VolumeResult(

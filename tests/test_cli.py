@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from simplex_sections import cli
+from simplex_sections import cli, extremal
 from simplex_sections.errors import EmptySection
 
 SCHEMA = json.loads(
@@ -377,6 +378,35 @@ def test_verify_report_deterministic(tmp_path):
                        "--no-timestamp")
         assert proc.returncode == 0
     assert a.read_text() == b.read_text()
+
+
+def test_verify_stdout_deterministic_in_comparison_mode():
+    # comparison mode drops the check timings from stdout as from the record
+    argv = ("verify", "--suite", "formulas", "--n-max", "4", "--trials", "5")
+    first, second = (run_cli(*argv, "--no-timestamp") for _ in range(2))
+    assert first.returncode == second.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    assert first.stdout.splitlines()[0] == "[formulas] closed_form_constants: PASS"
+    timed = run_cli(*argv)
+    assert timed.returncode == 0, timed.stderr
+    assert re.fullmatch(r"\[formulas\] closed_form_constants: PASS \(\d+\.\d\ds\)",
+                        timed.stdout.splitlines()[0])
+
+
+def test_volume_witness_basis_file_oracle_and_quadrature_agree(tmp_path):
+    # the paper's k-dim witness: its three slow ridges are sector edges, so
+    # the quadrature meets the default tol and agrees with the oracle
+    basis = extremal.conjectured_kdim_maximizer(5, 4)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps({"n": 5, "basis": basis.vectors.tolist()}))
+    proc = run_cli("volume", "--basis-file", str(path), "--methods", "oracle,quadrature",
+                   "--no-timestamp")
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(proc.stdout)
+    jsonschema.validate(rec, SCHEMA)
+    o, q = rec["results"]
+    assert abs(q["value"] - o["value"]) <= q["err"] + o["err"]
+    assert rec["agreement"][0]["agree"] is True and rec["pass"] is True
 
 
 def test_env_var_seed(tmp_path, monkeypatch):

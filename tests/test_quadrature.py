@@ -1,3 +1,4 @@
+import bisect
 import heapq
 import itertools
 import math
@@ -112,17 +113,32 @@ def test_kdim_codim2_separable_case():
     assert want == pytest.approx(math.sqrt(1.5) / 6, rel=1e-13, abs=0)
 
 
-def test_kdim_codim2_witness_value():
-    # H spanned by e1..e3 and the centroid of the remaining face of S^5:
+def _witness_volume(n, k):
+    # H spanned by e1..e(k-1) and the centroid of the remaining face of S^n:
     # its section volume has the closed form sqrt(n+1)/((k-1)! sqrt(n+2-k))
+    return math.sqrt(n + 1) / (math.factorial(k - 1) * math.sqrt(n + 2 - k))
+
+
+def test_kdim_codim2_witness_value():
     n, k = 5, 4
     span = [np.eye(n + 1)[i] for i in range(k - 1)] + [np.array([0, 0, 0, 1, 1, 1.0])]
     basis = subspaces.complement_of_span(span)
-    want = math.sqrt(n + 1) / (math.factorial(k - 1) * math.sqrt(n + 2 - k))
-    res = quadrature.kdim_volume_quadrature(basis, 3e-3)
-    # slow tails along three directions: modest precision, honest error bar
-    assert abs(res.value - want) <= max(res.err, 1e-4)
-    assert abs(res.value - want) / want < 1e-3
+    want = _witness_volume(n, k)
+    res = quadrature.kdim_volume_quadrature(basis, 1e-6)
+    # slow tails along three ridges, each a sector edge: an honest error bar
+    assert abs(res.value - want) <= res.err
+    assert abs(res.value - want) / want < 1e-6
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_kdim_codim2_witness_within_err(n, tol):
+    # the paper's k-dim witness: three nonzero columns summing to 0, so the
+    # integrand decays only like |s|^-2 along three ridges
+    want = _witness_volume(n, n - 1)
+    res = quadrature.kdim_volume_quadrature(extremal.conjectured_kdim_maximizer(n, n - 1), tol)
+    assert abs(res.value - want) <= res.err
+    assert res.err <= tol * want
 
 
 def test_kdim_codim2_random_vs_oracle():
@@ -135,14 +151,17 @@ def test_kdim_codim2_random_vs_oracle():
         assert res.value == pytest.approx(want, rel=1e-5, abs=0)
 
 
-def _prod_square_integrand(rows):
-    """The square integrand as np.prod over a (points, n+1) complex array."""
-    r0, r1 = rows
+def _prod_sector_integrand(p, q, jac):
+    """The sector integrand as np.prod over a (points, n+1) complex array,
+    each point's sector looked up on its own."""
+    edges = [k * (0.5 * math.pi) for k in range(len(jac))]
 
     def ft(u1, u2):
-        t1, t2 = np.tan(u1), np.tan(u2)
-        phase = np.multiply.outer(t1, r0) + np.multiply.outer(t2, r1)
-        return 1.0 / np.prod(1.0 + 1j * phase, axis=-1) * (1.0 + t1 * t1) * (1.0 + t2 * t2)
+        k = np.array([bisect.bisect_right(edges, x) - 1 for x in u1.tolist()], dtype=int)
+        t1, t2 = np.tan(u1 - np.array(edges)[k]), np.tan(u2)
+        phase = t1[:, None] * p[k] + t2[:, None] * q[k]
+        jacobian = (1.0 + t1 * t1) * (1.0 + t2 * t2) * jac[k]
+        return 1.0 / np.prod(1.0 + 1j * phase, axis=-1) * jacobian
 
     return ft
 
@@ -165,36 +184,155 @@ def _edge_nodes(lo, hi):
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes[0]
 
 
-def _square_points(rng):
-    # uniform points, and the nodes of depth-40 cells next to u = +-pi/2,
-    # where |tan| is 7e11 to 1e14, paired with each other and with uniform ones
-    w = 0.5 * math.pi * 2.0**-40
-    edge = np.concatenate([_edge_nodes(0.5 * math.pi - w, 0.5 * math.pi),
-                           _edge_nodes(-0.5 * math.pi, -0.5 * math.pi + w)])
-    u1, u2 = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, (2, 4000))
-    e1, e2 = (a.ravel() for a in np.meshgrid(edge, edge))
-    mix = rng.uniform(-0.5 * math.pi, 0.5 * math.pi, edge.size)
-    return (np.concatenate([u1, e1, edge, mix]), np.concatenate([u2, e2, mix, edge]))
+def _sector_points(m, rng):
+    # uniform points, and the nodes of depth-40 cells on both sides of every
+    # sector edge (|tan| up to 1e14) and next to v2 = 0 and pi/2, paired with
+    # uniform ones, and the sector edges; sorted by u1, as `_adaptive` passes
+    # cells sector by sector
+    h = 0.5 * math.pi
+    w = h * 2.0**-40
+    edges = np.arange(m + 1) * h
+    e1 = np.concatenate([_edge_nodes(e - w, e) for e in edges[1:]]
+                        + [_edge_nodes(e, e + w) for e in edges[:-1]])
+    e2 = np.concatenate([_edge_nodes(0.0, w), _edge_nodes(h - w, h)])
+    u1 = np.concatenate([rng.uniform(0.0, m * h, 4000), e1, rng.uniform(0.0, m * h, e2.size),
+                         edges])  # a point on an edge belongs to the sector above it
+    u2 = np.concatenate([rng.uniform(0.0, h, 4000), rng.uniform(0.0, h, e1.size), e2,
+                         rng.uniform(0.0, h, m + 1)])
+    order = np.argsort(u1, kind="stable")
+    return u1[order], u2[order]
 
 
-def _square_rows():
-    rng = np.random.default_rng([18, 2])
+def _rows_basis(rows):
+    """SubspaceBasis of two rows by one elementwise Gram-Schmidt step, so a
+    column that is another times -1 or a power of 2 stays exactly so."""
+    r0, r1 = np.asarray(rows, dtype=float)
+    r0 = r0 / math.sqrt(r0 @ r0)
+    r1 = r1 - (r1 @ r0) * r0
+    return subspaces.SubspaceBasis(n=r0.size - 1, vectors=np.array([r0, r1 / math.sqrt(r1 @ r1)]))
+
+
+def _centred(rows, free):
+    """`rows` with zero sums, each sum taken off the coordinates `free`."""
+    rows = np.array(rows, dtype=float)
+    rows[:, free] -= rows.sum(axis=1, keepdims=True) / len(free)
+    return rows
+
+
+def _near_parallel_family(t):
+    # at t = 0 columns 0 and 1, 2 and 3, 4 and 5 are antiparallel; at small t
+    # the ridges of 0, 1 and of 2, 3 lie about t apart and columns 4, 5 are
+    # about t long
+    rows = np.array([[1, -1, 0.5, -0.5, 0, 0], [0.3, -0.3, 1, -1 + t, t, -t]])
+    return subspaces.basis_from_rows(rows - rows.mean(axis=1, keepdims=True))
+
+
+def _separable_basis():
+    return subspaces.basis_from_rows([
+        np.array([1, -1, 0, 0, 0, 0]) / math.sqrt(2),
+        np.array([0, 0, 1, -1, 0, 0]) / math.sqrt(2),
+    ])
+
+
+def _cluster_basis(t, k, seed):
+    # k columns within angles t of one direction, one more column and the
+    # column that makes the rows sum to 0: k ridges in a fan of width ~2t,
+    # whose thin sectors hold corners where only two factors decay
+    rng = np.random.default_rng([5, seed])
+    angle = 1.0 + t * np.sort(rng.uniform(-1.0, 1.0, k))
+    radius = rng.uniform(0.2, 1.0, k) * rng.choice([-1.0, 1.0], k)
+    cols = np.zeros((k + 2, 2))
+    cols[:k] = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    cols[k] = [0.7, -0.4]
+    cols[k + 1] = -cols[:k + 1].sum(axis=0)
+    return subspaces.basis_from_rows(cols.T)
+
+
+def _ridge_degenerate_cases():
+    rng = np.random.default_rng([19, 1])
+    rows = np.zeros((2, 7))
+    rows[:, [0, 2, 3, 5]] = rng.standard_normal((2, 4))
+    yield "zero-columns", _rows_basis(_centred(rows, [0, 2, 3, 5]))
+    rows = rng.standard_normal((2, 7))
+    rows[:, 2] *= 1e-17
+    rows[:, 4] = [3e-17, 0.0]
+    yield "rounding-columns", _rows_basis(_centred(rows, [0, 1, 3, 5, 6]))
+    rows = rng.standard_normal((2, 8))
+    rows[:, 3], rows[:, 5], rows[:, 6] = 2.0 * rows[:, 1], -rows[:, 1], -0.5 * rows[:, 0]
+    yield "parallel", _rows_basis(_centred(rows, [2, 4, 7]))
+    # ridges on the 0/pi wrap: columns (0, y) have their ridge at angle 0, and
+    # (t, y), (-t, y) at pi - t/y and t/y, on both sides of it
+    rows = rng.standard_normal((2, 7))
+    rows[0, [1, 4]] = 0.0
+    rows[1, 4] = -2.0 * rows[1, 1]
+    yield "wrap-exact", _rows_basis(_centred(rows, [0, 2, 3, 5, 6]))
+    for t in (1e-9, 1e-17):
+        rows = rng.standard_normal((2, 7))
+        rows[:, 1], rows[:, 4] = [t, 0.9], [-t, 1.3]
+        yield f"wrap-{t:g}", _rows_basis(_centred(rows, [0, 2, 3, 5, 6]))
+    for t in (1e-3, 1e-6, 1e-8, 1e-10, 1e-12):
+        yield f"near-parallel-{t:g}", _near_parallel_family(t)
+    yield "cluster-1e-06", _cluster_basis(1e-6, 7, 2)
+    yield "cluster-1e-07", _cluster_basis(1e-7, 5, 0)
+    yield "separable", _separable_basis()
+
+
+_RIDGE_CASES = dict(_ridge_degenerate_cases())
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("name", list(_RIDGE_CASES))
+def test_kdim_codim2_ridge_degenerate_within_err_of_oracle(name, tol):
+    # zero, short, parallel and nearly parallel columns: the result lies
+    # within its err of the oracle or the quadrature says it cannot
+    basis = _RIDGE_CASES[name]
+    o = oracle.polytope_volume(oracle.kdim_section_vertices(oracle.regular_simplex(basis.n), basis))
+    try:
+        q = quadrature.kdim_volume_quadrature(basis, tol)
+    except TolUnreachable:
+        return
+    assert abs(q.value - o.value) <= q.err + o.err
+
+
+def test_ridge_degenerate_cases_are_degenerate():
+    # the cases hold what their names say, after orthonormalization
+    def ridges(name):
+        return np.arctan2(*quadrature._sectors(_RIDGE_CASES[name].vectors)[0][:-1].T[::-1])
+
+    cols = _RIDGE_CASES["zero-columns"].vectors.T
+    assert (cols[[1, 4, 6]] == 0.0).all()
+    assert np.abs(_RIDGE_CASES["rounding-columns"].vectors[:, [2, 4]]).max() < 1e-16
+    cols = _RIDGE_CASES["parallel"].vectors.T
+    assert (cols[3] == 2.0 * cols[1]).all() and (cols[5] == -cols[1]).all()
+    assert (cols[6] == -0.5 * cols[0]).all()
+    assert ridges("wrap-exact")[0] == 0.0
+    for t in (1e-9, 1e-17):
+        a = ridges(f"wrap-{t:g}")
+        assert 0.0 < a[0] < 1e-8 and a[-1] > math.pi - 1e-8
+    for t, k in ((1e-6, 7), (1e-7, 5)):
+        gaps = np.sort(np.diff(ridges(f"cluster-{t:g}")))
+        assert gaps[k - 2] < 100 * t  # k ridges in a fan of width ~t
+
+
+def _sector_rows():
+    rng = np.random.default_rng([19, 2])
     for n in range(2, 13):
         yield f"random-{n}", rng.standard_normal((2, n + 1))
         if n >= 3:
             yield f"witness-{n}", extremal.conjectured_kdim_maximizer(n, n - 1).vectors
-    yield "separable", _separable_basis().vectors
-    r = rng.standard_normal(6)
-    yield "zero-row", np.array([r, np.zeros(6)])
-    yield "parallel", np.array([r, -0.5 * r])
+    for name, basis in _RIDGE_CASES.items():
+        yield name, basis.vectors
 
 
-def test_square_integrand_matches_complex_prod_bit_for_bit():
-    pts = _square_points(np.random.default_rng([18, 1]))
-    for name, rows in _square_rows():
-        rows = np.asarray(rows, dtype=float)
-        got = quadrature._compactified_integrand(rows)(*pts)
-        assert np.array_equal(got, _prod_square_integrand(rows)(*pts)), name
+def test_sector_integrand_matches_complex_prod_bit_for_bit():
+    rng = np.random.default_rng([19, 3])
+    for name, rows in _sector_rows():
+        _, p, q, jac = quadrature._sectors(np.asarray(rows, dtype=float))
+        pts = _sector_points(len(jac), rng)
+        ft, ref = quadrature._sector_integrand(p, q, jac), _prod_sector_integrand(p, q, jac)
+        assert np.array_equal(ft(*pts), ref(*pts)), name
+        shuffled = [x[rng.permutation(x.size)[:60]] for x in pts]  # points in any order
+        assert np.array_equal(ft(*shuffled), ref(*shuffled)), name
 
 
 def _line_coeffs():
@@ -221,24 +359,25 @@ def test_line_integrand_matches_complex_prod_bit_for_bit():
 def test_quadratures_match_complex_prod_integrands(monkeypatch):
     # the whole refinement, heap order included, is unmoved by the kernel
     rng = np.random.default_rng([18, 5])
-    bases = [_separable_basis()] + [
+    bases = [_separable_basis(), extremal.conjectured_kdim_maximizer(5, 4),
+             _RIDGE_CASES["near-parallel-1e-06"]] + [
         subspaces.random_subspace_through_centroid(n, n - 1, rng) for n in (4, 6, 8)]
     dirs = [cf.Direction.make(rng.standard_normal(n + 1)) for n in (3, 6, 10)]
     got = ([quadrature.kdim_volume_quadrature(b, 1e-6) for b in bases]
            + [quadrature.hyperplane_volume_quadrature(a, 1e-9) for a in dirs])
-    monkeypatch.setattr(quadrature, "_compactified_integrand", _prod_square_integrand)
+    monkeypatch.setattr(quadrature, "_sector_integrand", _prod_sector_integrand)
     monkeypatch.setattr(quadrature, "_folded_line_integrand", _prod_line_integrand)
     want = ([quadrature.kdim_volume_quadrature(b, 1e-6) for b in bases]
             + [quadrature.hyperplane_volume_quadrature(a, 1e-9) for a in dirs])
     assert [(r.value, r.err) for r in got] == [(r.value, r.err) for r in want]
 
 
-def _reference_square_volume(basis, tol):
-    """The per-cell square quadrature with its 1e-3 -> target restart.
+def _reference_sector_volume(basis, tol):
+    """The per-cell sector quadrature with its 1e-3 -> target restart.
 
-    Each cell costs two separate tensor-rule calls and the second pass
-    lays the grid again and replays the first; kept as the reference for
-    the batched, resumed refinement.
+    Each cell costs two separate tensor-rule calls on the np.prod integrand
+    and the second pass lays the grid again and replays the first; kept as
+    the reference for the batched, resumed refinement.
     """
 
     def tensor_rule(f, x0, x1, y0, y1, order):
@@ -254,25 +393,14 @@ def _reference_square_volume(basis, tol):
         i15 = tensor_rule(f, a, b, c, d, 15)
         return i15, abs(i15 - i7)
 
-    def marks(limit):
-        pts, raw = [0.0], 1.0
-        while (m := float(np.arctan(raw))) < limit - 1e-9:
-            pts.append(m)
-            raw *= 4.0
-        return pts + [limit]
-
-    def run(f, tol_abs, max_cells=24000):
-        xs = marks(0.5 * math.pi)
-        ys = marks(0.5 * math.pi)
-        ybounds = sorted(set([-v for v in ys] + ys))
+    def run(f, grid, tol_abs, max_cells=24000):
         heap, counter, total, err_sum = [], 0, 0.0 + 0.0j, 0.0
-        for a, b in zip(xs, xs[1:]):
-            for c, d in zip(ybounds, ybounds[1:]):
-                val, err = cell(f, a, b, c, d)
-                total += val
-                err_sum += err
-                heapq.heappush(heap, (-err, counter, a, b, c, d, 0, val, err))
-                counter += 1
+        for a, b, c, d in grid:
+            val, err = cell(f, a, b, c, d)
+            total += val
+            err_sum += err
+            heapq.heappush(heap, (-err, counter, a, b, c, d, 0, val, err))
+            counter += 1
         while err_sum > tol_abs and counter < max_cells:
             _, _, a, b, c, d, depth, val, err = heapq.heappop(heap)
             assert depth < quadrature.MAX_DEPTH
@@ -289,30 +417,29 @@ def _reference_square_volume(basis, tol):
         assert err_sum <= tol_abs
         return total, err_sum
 
-    f = _prod_square_integrand(np.asarray(basis.vectors, dtype=float))
-    val, err = run(f, 1e-3)
+    _, p, q, jac = quadrature._sectors(np.asarray(basis.vectors, dtype=float))
+    f = _prod_sector_integrand(p, q, jac)
+    grid = quadrature._sector_grid(p, q, jac).tolist()
+    val, err = run(f, grid, 1e-3)
     target = max(tol, 1e-10) * max(abs(val.real), 1e-6)
     if target < 1e-3:
-        val, err = run(f, target)
+        val, err = run(f, grid, target)
     pref, scale = quadrature._direct_prefactor(basis), 2.0 / (2.0 * math.pi) ** 2
     return pref * val.real * scale, pref * err * scale
 
 
-def _separable_basis():
-    return subspaces.basis_from_rows([
-        np.array([1, -1, 0, 0, 0, 0]) / math.sqrt(2),
-        np.array([0, 0, 1, -1, 0, 0]) / math.sqrt(2),
-    ])
-
-
-@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, "separable"])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, "separable", "witness", "near-parallel"])
 def test_kdim_codim2_matches_per_cell_reference(n):
     if n == "separable":
         basis = _separable_basis()
+    elif n == "witness":
+        basis = extremal.conjectured_kdim_maximizer(6, 5)
+    elif n == "near-parallel":
+        basis = _near_parallel_family(1e-6)
     else:
         basis = subspaces.random_subspace_through_centroid(n, n - 1, np.random.default_rng([7, 3]))
     res = quadrature.kdim_volume_quadrature(basis, 1e-6)
-    want, want_err = _reference_square_volume(basis, 1e-6)
+    want, want_err = _reference_sector_volume(basis, 1e-6)
     assert res.value == pytest.approx(want, rel=1e-13, abs=0)
     assert res.err == pytest.approx(want_err, rel=1e-8, abs=0)
 
@@ -331,9 +458,13 @@ def _codim2_cases():
         yield f"centroid-{n}", subspaces.random_subspace_through_centroid(n, n - 1, rng)
     for n in (4, 6, 8):
         yield f"general-{n}", _general_codim2_basis(n, rng)
+    for n in range(9, 13):
+        yield f"centroid-{n}", subspaces.random_subspace_through_centroid(n, n - 1, rng)
+    for n in (10, 12):
+        yield f"general-{n}", _general_codim2_basis(n, rng)
 
 
-@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
 def test_kdim_codim2_within_err_of_oracle(tol):
     # the coarse starting grid leaves the accuracy to refinement: every
     # result must still lie within its err of the oracle
@@ -343,18 +474,47 @@ def test_kdim_codim2_within_err_of_oracle(tol):
         assert abs(q.value - o.value) <= q.err + o.err, name
 
 
-def test_square_grid_tiles_the_half_square():
-    g = quadrature._square_grid()
-    assert g.shape == (512, 4)
-    a, b, c, d = g.T
-    assert (a < b).all() and (c < d).all()
-    assert a.min() == 0.0 and b.max() == 0.5 * math.pi
-    assert c.min() == -0.5 * math.pi and d.max() == 0.5 * math.pi
-    overlap = (np.minimum.outer(b, b) > np.maximum.outer(a, a)) & (
-        np.minimum.outer(d, d) > np.maximum.outer(c, c)
-    )
-    assert np.count_nonzero(overlap) == len(g)  # each cell overlaps only itself
-    assert ((b - a) * (d - c)).sum() == pytest.approx(0.5 * math.pi**2, rel=1e-14, abs=0)
+def test_sector_grid_tiles_the_folded_quadrants():
+    h = 0.5 * math.pi
+    for name, rows in _sector_rows():
+        d, p, q, jac = quadrature._sectors(np.asarray(rows, dtype=float))
+        m = len(jac)
+        # the sector angles are positive and sum to pi
+        cross = d[:-1, 0] * d[1:, 1] - d[:-1, 1] * d[1:, 0]
+        angles = np.arctan2(cross, (d[:-1] * d[1:]).sum(axis=1))
+        assert (angles > 0.0).all(), name
+        assert angles.sum() == pytest.approx(math.pi, rel=1e-14, abs=0), name
+        # every column with a ridge has it on one edge: p = 0 in the sector
+        # it starts, q = 0 in the sector it ends
+        assert np.array_equal(p == 0.0, np.roll(q == 0.0, 1, axis=0)), name
+        live = np.asarray(rows).any(axis=0)
+        assert ((p == 0.0).sum(axis=0)[live] == 1).all(), name
+        g = quadrature._sector_grid(p, q, jac)
+        a, b, c, e = g.T
+        assert (a < b).all() and (c < e).all(), name
+        assert a.min() == 0.0 and b.max() == m * h, name
+        assert c.min() == 0.0 and e.max() == h, name
+        sector = np.searchsorted(np.arange(m) * h, a, side="right") - 1
+        assert (b <= (sector + 1) * h).all(), name  # no cell straddles a sector edge
+        overlap = (np.minimum.outer(b, b) > np.maximum.outer(a, a)) & (
+            np.minimum.outer(e, e) > np.maximum.outer(c, c)
+        )
+        assert np.count_nonzero(overlap) == len(g), name  # each cell overlaps only itself
+        assert ((b - a) * (e - c)).sum() == pytest.approx(m * h * h, rel=1e-14, abs=0), name
+
+
+def test_sector_grid_reaches_the_near_ridges():
+    # 16 cells a sector when no ridge is near and no column short; ridges
+    # about t outside an axis put marks out to about 1/(16 t) on it
+    h = 0.5 * math.pi
+    _, p, q, jac = quadrature._sectors(extremal.conjectured_kdim_maximizer(5, 4).vectors)
+    assert len(quadrature._sector_grid(p, q, jac)) == 16 * 3
+    for t in (1e-3, 1e-6, 1e-12):
+        _, p, q, jac = quadrature._sectors(_near_parallel_family(t).vectors)
+        a, _, c, _ = quadrature._sector_grid(p, q, jac).T
+        marks = np.concatenate([a - np.floor(a / h) * h, c])
+        top = np.tan(marks[marks < h]).max()
+        assert 0.1 / t < top < 1.0 / t
 
 
 def test_gauss_cells_exact_on_high_degree_monomials():
@@ -370,21 +530,24 @@ def test_gauss_cells_exact_on_high_degree_monomials():
 
 
 def test_gauss_cells_batch_matches_lone_boxes():
-    # a box rounds as it would alone, so batching cannot move any value
-    f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
+    # a box rounds as it would alone, so batching cannot move any value;
+    # the first 64 sector cells span four sectors
+    basis = subspaces.random_subspace_through_centroid(6, 5, np.random.default_rng([7, 3]))
+    _, p, q, jac = quadrature._sectors(np.asarray(basis.vectors))
+    f = quadrature._sector_integrand(p, q, jac)
     h = quadrature._folded_line_integrand(np.array([0.6, 0.2, -0.3, -0.5, 0.1]))
-    for rule, grid in ((f, quadrature._square_grid()[:64]), (h, quadrature._LINE_GRID)):
+    for rule, grid in ((f, quadrature._sector_grid(p, q, jac)[:64]), (h, quadrature._LINE_GRID)):
         batch = quadrature._gauss_cells(rule, grid)
         alone = [quadrature._gauss_cells(rule, grid[i:i + 1]) for i in range(len(grid))]
         assert batch == ([v for (v,), _ in alone], [e for _, (e,) in alone])
 
 
-def test_square_cell_budget_below_initial_grid():
-    f = quadrature._compactified_integrand(np.asarray(_separable_basis().vectors))
-    cells = partial(quadrature._gauss_cells, f)
-    # the 512-cell grid alone reaches 3.4e-12 absolute on a total of pi^2; ask for less
+def test_sector_cell_budget_below_initial_grid():
+    _, p, q, jac = quadrature._sectors(np.asarray(_separable_basis().vectors))
+    cells = partial(quadrature._gauss_cells, quadrature._sector_integrand(p, q, jac))
+    # the 32-cell grid alone reaches 3.4e-12 absolute on a total of pi^2; ask for less
     with pytest.raises(TolUnreachable, match="cell budget exhausted"):
-        quadrature._adaptive(cells, quadrature._square_grid(), 1e-14, max_cells=100)
+        quadrature._adaptive(cells, quadrature._sector_grid(p, q, jac), 1e-14, max_cells=16)
 
 
 def test_kdim_rejects_codim3():
