@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from functools import partial
 
 import numpy as np
@@ -411,6 +412,8 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
     k - 1 products add k u at most; the prefactor, det B_J and the sums add
     CONE_ROUND_U u.
     """
+    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
+        raise OutOfRange(f"samples must be an integer, not {samples!r}")
     if samples < 1000:
         raise OutOfRange("samples >= 1000 required")
     b = np.asarray(basis.vectors, dtype=float)

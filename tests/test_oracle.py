@@ -749,20 +749,26 @@ def test_slab_matches_residue_random():
 
 
 def _slab_reference(spec, b, eps, samples, seed):
-    """The slab estimate with the Dirichlet points formed: E / sum(E), map, dot.
+    """The slab estimate with every point formed: the cyclic shifts roll(e, -k)
+    of each draw, draw-major, the first samples of them, then E / sum(E), map, dot.
 
     None when no sample hits, where the estimator raises ZeroHits.
     """
-    e = np.random.default_rng(seed).standard_exponential((samples, spec.n + 1))
-    lam = e / e.sum(1, keepdims=True)
+    n1 = spec.n + 1
+    e = np.random.default_rng(seed).standard_exponential((-(-samples // n1), n1))
+    pts = np.stack([np.roll(e, -k, axis=1) for k in range(n1)], axis=1).reshape(-1, n1)
+    pts = pts[:samples]
+    lam = pts / pts.sum(1, keepdims=True)
     hits = np.count_nonzero(np.abs(lam @ spec.vertices.T @ b) <= eps)
     if hits == 0:
         return None
-    b_par = math.sqrt(b @ b - b.sum() ** 2 / (spec.n + 1.0))
+    b_par = math.sqrt(b @ b - b.sum() ** 2 / n1)
     return hits / samples * (oracle.simplex_volume(spec) * b_par / (2.0 * eps))
 
 
-@pytest.mark.parametrize("samples", [1, 2**16, 2**16 + 1, 100_000])
+# samples = chunks * SLAB_CHUNK * (n+1) + extra: one point, one full chunk of
+# draws, one point into a second chunk, and a count that is no multiple of n+1
+@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, 0), (1, 1), (0, 100_000)])
 @pytest.mark.parametrize(
     "spec, b",
     [
@@ -771,15 +777,32 @@ def _slab_reference(spec, b, eps, samples, seed):
     ],
     ids=["regular", "general"],
 )
-def test_slab_matches_dirichlet_reference(spec, b, samples):
-    # chunked exponential fills consume the stream like one (samples, n+1) draw
-    want = _slab_reference(spec, b, 0.01, samples, 11)
+@pytest.mark.parametrize("eps", [0.01, 0.2])
+def test_slab_matches_dirichlet_reference(spec, b, chunks, extra, eps):
+    # chunked fills of draws consume the stream like one (draws, n+1) draw,
+    # and the last draw gives only its first shifts, up to samples points;
+    # at eps = 0.2 most points hit, so a wrong choice of shifts shows
+    samples = chunks * oracle.SLAB_CHUNK * (spec.n + 1) + extra
+    want = _slab_reference(spec, b, eps, samples, 11)
     if want is None:
         with pytest.raises(ZeroHits):
-            oracle.monte_carlo_slab_volume(spec, b, eps=0.01, samples=samples, seed=11)
+            oracle.monte_carlo_slab_volume(spec, b, eps=eps, samples=samples, seed=11)
         return
-    got = oracle.monte_carlo_slab_volume(spec, b, eps=0.01, samples=samples, seed=11)
+    got = oracle.monte_carlo_slab_volume(spec, b, eps=eps, samples=samples, seed=11)
     assert got.value == want
+
+
+def test_slab_partial_draws_match_reference():
+    # every count up to three draws: the last draw's shifts are its first ones
+    spec = oracle.regular_simplex(6)
+    b = np.array([0.5, 0.3, -0.1, 0.2, -0.6, -0.4, 0.1])
+    for samples in range(1, 3 * (spec.n + 1) + 1):
+        want = _slab_reference(spec, b, 0.2, samples, 11)
+        if want is None:
+            with pytest.raises(ZeroHits):
+                oracle.monte_carlo_slab_volume(spec, b, eps=0.2, samples=samples, seed=11)
+        else:
+            assert oracle.monte_carlo_slab_volume(spec, b, eps=0.2, samples=samples, seed=11).value == want
 
 
 def test_slab_matches_oracle_general_simplex():
@@ -790,16 +813,59 @@ def test_slab_matches_oracle_general_simplex():
     assert abs(res.value - want) <= 3 * res.err
 
 
-def test_slab_memory_is_one_chunk():
-    # the draws live in one fixed buffer, not in (samples, n+1) temporaries
-    a = cf.random_direction_fixed_sum(10, 0.3, np.random.default_rng(8))
+@pytest.mark.parametrize("n, mib", [(3, 3), (10, 6)])
+def test_slab_memory_is_one_chunk(n, mib):
+    # the draws live in one fixed buffer, with no (samples, n+1) temporaries
+    # and no per-draw array kept across chunks: at n = 3 the peak is about
+    # 1.4 MiB, and one int64 per draw of the 250 000 would add 1.9 MiB
+    a = cf.random_direction_fixed_sum(n, 0.3, np.random.default_rng(8))
     tracemalloc.start()
     try:
-        oracle.monte_carlo_slab_volume(oracle.regular_simplex(10), a, 0.005, 10**6, 9)
+        oracle.monte_carlo_slab_volume(oracle.regular_simplex(n), a, 0.005, 10**6, 9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 12 * 2**20
+    assert peak < mib * 2**20
+
+
+def test_slab_err_counts_repeated_shifts():
+    # on [1, 1, -1, -1] / 2 the shift by 2 negates the normal, so every hit
+    # comes with a second one from the same draw: the hits are pairs, and
+    # err is sqrt(2) times the binomial standard error of independent points
+    spec = oracle.regular_simplex(3)
+    a = cf.Direction.make([0.5, 0.5, -0.5, -0.5])
+    eps, samples = 0.01, 100_000
+    factor = oracle.simplex_volume(spec) * 1.0 / (2.0 * eps)  # b_par = 1
+    ratios = []
+    for seed in range(20):
+        res = oracle.monte_carlo_slab_volume(spec, a, eps, samples, seed)
+        p = res.value / factor
+        ratios.append(res.err / (math.sqrt(p * (1.0 - p) / samples) * factor))
+    assert 1.3 <= float(np.median(ratios)) <= 1.5
+
+
+def test_slab_err_is_calibrated():
+    # z = (estimate - oracle) / err over 208 seeded estimates: three generic
+    # directions per n = 3..10, the block direction and a general simplex
+    rng = np.random.default_rng(2024)
+    cases = [
+        (oracle.regular_simplex(n), cf.random_direction_fixed_sum(n, float(rng.uniform(0, 0.9)), rng).a)
+        for n in range(3, 11)
+        for _ in range(3)
+    ]
+    cases.append((oracle.regular_simplex(3), np.array([0.5, 0.5, -0.5, -0.5])))
+    cases.append(
+        (irregular.compressed_simplex(5, -0.1).spec(), np.array([0.6, -0.2, 0.3, -0.5, 0.1, -0.2]))
+    )
+    z = []
+    for i, (spec, b) in enumerate(cases):
+        want = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, b)).value
+        for seed in range(8):
+            res = oracle.monte_carlo_slab_volume(spec, b, 0.005, 100_000, 8 * i + seed + 1)
+            z.append((res.value - want) / res.err)
+    z = np.array(z)
+    assert 0.8 <= z.std() <= 1.2
+    assert np.count_nonzero(np.abs(z) > 3.0) <= 2
 
 
 @pytest.mark.parametrize("eps", [math.inf, math.nan, 0.0, -0.01])
@@ -809,6 +875,29 @@ def test_slab_rejects_bad_eps(eps):
             oracle.regular_simplex(3), cf.Direction.make([0.5, 0.5, -0.5, -0.5]),
             eps=eps, samples=1000, seed=1,
         )
+
+
+@pytest.mark.parametrize("samples", [1e6, 1000.5, True])
+def test_slab_rejects_non_integer_samples(samples):
+    with pytest.raises(OutOfRange):
+        oracle.monte_carlo_slab_volume(
+            oracle.regular_simplex(3), cf.Direction.make([0.5, 0.5, -0.5, -0.5]),
+            eps=0.01, samples=samples, seed=1,
+        )
+
+
+@pytest.mark.parametrize("samples", [1, 3, 4, 6, 4 * oracle.SLAB_CHUNK + 3])
+def test_slab_counts_exactly_samples_points(samples):
+    # eps = 1/2 puts the whole simplex in the slab of [1, 1, -1, -1] / 2, so
+    # every point hits: the value is the simplex volume, and each draw's hit
+    # count equals its number of points, which leaves no spread between draws
+    # (a single draw has none to measure)
+    spec = oracle.regular_simplex(3)
+    res = oracle.monte_carlo_slab_volume(
+        spec, cf.Direction.make([0.5, 0.5, -0.5, -0.5]), eps=0.5, samples=samples, seed=1
+    )
+    assert res.value == oracle.simplex_volume(spec)
+    assert res.err == (math.inf if samples <= 4 else 0.0)
 
 
 def test_slab_zero_hits():

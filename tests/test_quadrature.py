@@ -668,6 +668,13 @@ def test_mc_cone_requires_samples():
         quadrature.monte_carlo_cone_volume(basis, 10, seed=0)
 
 
+@pytest.mark.parametrize("samples", [1e6, 1000.5, True])
+def test_mc_cone_rejects_non_integer_samples(samples):
+    basis = quadrature.hyperplane_basis_of(cf.a_max_direction(4))
+    with pytest.raises(OutOfRange):
+        quadrature.monte_carlo_cone_volume(basis, samples, seed=0)
+
+
 def test_three_way_agreement():
     rng = np.random.default_rng(9)
     for n in (3, 5, 7):
