@@ -11,7 +11,9 @@ its two bounding ridges on the axes, and the sectors lie side by side in
 one grid.  Both run on one Gauss-pair rule for boxes of any dimension,
 `_gauss_cells`, and one adaptive driver, `_adaptive`.  Higher
 codimension is served by the vertex-enumeration oracle instead; the
-Monte Carlo check `monte_carlo_cone_volume` takes any codimension.
+Monte Carlo check `monte_carlo_cone_volume` takes any codimension.  It
+counts the k cyclic shifts of each exponential draw as points, so its err
+is a cluster standard error over the draws.
 
 Both integrands form the product in real arithmetic: contiguous re and im
 arrays over the points take one factor a + i b at a time as
@@ -36,7 +38,7 @@ from .subspaces import SubspaceBasis
 
 MAX_DEPTH = 40
 CHUNK = 64  # cells per call, 14400 points at 15^2; 32 to 256 within 15% on sector grids
-CONE_CHUNK = 2**16  # Monte Carlo rows per exponential fill; 4.5 MiB of draws at k = 9
+CONE_CHUNK = 2**13  # draws per exponential fill: 0.6 MB of draws, 1.8 MB of products at n = 10, codim 2
 CONE_ROUND_U = 64  # unit roundoffs allowed for the prefactor, det B_J and the weight sums
 
 _GL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -401,16 +403,26 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
         vol = _direct_prefactor(basis) / |det B_J| * E[mu^k 1{GE >= 0}],
 
     with weights mu^k in (0, 1].  Hits are decided by the exact sign of GE.
-    The draws fill one buffer of at most CONE_CHUNK rows in turn and
-    consume the stream as a single (samples, k) draw would; one product
-    with W = [G' | 1 | 1 + G'1], taken transposed, gives GE, S and S + 1'GE
-    as contiguous rows.
+    Each draw of k exponentials gives k points, its cyclic shifts
+    E_t = roll(E, -t): E is exchangeable, so every shift is a face point of
+    the same law and the estimate stays unbiased.  ceil(samples / k) draws
+    are made, the last one giving only the shifts that make up exactly
+    samples points; they fill one buffer of at most CONE_CHUNK draws in turn
+    and consume the stream as a single (draws, k) draw would.  G E_t is
+    roll(G, t) E, so one product with W' = [roll(G, t) for each row of G and
+    each t | 1 | roll(1 + G'1, t) for each t], taken transposed, gives every
+    shift's GE, S and S + 1'GE as contiguous rows.
 
-    err is one standard error plus a rounding term: on a hit mu carries a
+    The shifts of one draw are not independent (a shift that maps the cone
+    onto itself repeats the draw's weight), so err is the cluster standard
+    error of the ratio estimator over the draws (Cochran, Sampling
+    Techniques, ch. 9): sqrt(m/(m-1) sum_i (y_i - p s_i)^2) / samples, for
+    draw i's weight sum y_i over its s_i points and p the mean weight, from
+    running sums of y and y^2; plus a rounding term: on a hit mu carries a
     relative rounding of at most (2k + c + 1)(1 + g) u to first order, g the
-    largest column sum of |G| (as computed); mu^k multiplies it by k and its
-    k - 1 products add k u at most; the prefactor, det B_J and the sums add
-    CONE_ROUND_U u.
+    largest column sum of |G| (as computed, the same for every shift); mu^k
+    multiplies it by k and its k - 1 products add k u at most; the
+    prefactor, det B_J and the sums add CONE_ROUND_U u.
     """
     if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
         raise OutOfRange(f"samples must be an integer, not {samples!r}")
@@ -422,28 +434,42 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
     rest = [j for j in range(basis.n + 1) if j not in cols]  # np.setdiff1d: ~18 ms first call
     bj = b[:, cols]
     g = -np.linalg.solve(bj, b[:, rest])  # (c, k)
-    wt = np.vstack([g, np.ones(k), 1.0 + g.sum(axis=0)])  # W' = [G' | 1 | 1 + G'1]', shape (c+2, k)
+    # row i k + t is row i of G rolled by t; then S; then 1 + G'1 rolled by t
+    shifts = [np.roll(g, t, axis=1) for t in range(k)]
+    den = [np.roll(1.0 + g.sum(axis=0), t) for t in range(k)]
+    wt = np.vstack([np.stack(shifts, axis=1).reshape(c * k, k), np.ones(k), den])
     rng = np.random.default_rng(seed)
-    buf = np.empty((min(samples, CONE_CHUNK), k))
-    hits, total_w, total_w2 = 0, 0.0, 0.0
-    for lo in range(0, samples, CONE_CHUNK):
-        e = buf[: min(CONE_CHUNK, samples - lo)]
+    draws = -(-samples // k)
+    last = samples - (draws - 1) * k  # shifts the last draw gives
+    buf = np.empty((min(draws, CONE_CHUNK), k))
+    total_w, total_w2 = 0.0, 0.0
+    for lo in range(0, draws, CONE_CHUNK):
+        e = buf[: min(CONE_CHUNK, draws - lo)]
         rng.standard_exponential(out=e)
-        s = wt @ e.T  # (e W)' as rows GE, S and S + 1'GE: contiguous, no short-row reductions
-        hit = s[0] >= 0.0
-        for row in s[1:c]:
-            hit &= row >= 0.0
-        mu = np.compress(hit, s[c]) / np.compress(hit, s[c + 1])
+        s = wt @ e.T  # (e W)': one contiguous row per shift, no short-row reductions
+        hit = s[:k] >= 0.0
+        for i in range(1, c):
+            hit &= s[i * k : (i + 1) * k] >= 0.0
+        if lo + CONE_CHUNK >= draws:
+            hit[last:, -1] = False
+        s_den = s[c * k + 1 :]
+        np.copyto(s_den, np.inf, where=~hit)  # a miss weighs S / inf = 0
+        mu = s[c * k] / s_den
         w = mu.copy()
         for _ in range(k - 1):  # mu^k by k-1 products: np.power costs 10x more
             w *= mu
-        hits += mu.size
-        total_w += float(w.sum())
-        total_w2 += float((w * w).sum())  # pairwise, as w.sum(); a BLAS dot would vary with threads
-    if hits == 0:
+        y = w.sum(axis=0)  # weight per draw
+        total_w += float(y.sum())
+        total_w2 += float((y * y).sum())  # pairwise, as y.sum(); a BLAS dot would vary with threads
+    if total_w == 0.0:
         raise ZeroHits("no Monte Carlo sample landed in the cone")
     mean_w = total_w / samples
-    se = math.sqrt(max(total_w2 / samples - mean_w * mean_w, 0.0) / samples)
+    # sum y_i s_i and sum s_i^2: every draw gives k points but the last,
+    # whose weight sum is y[-1]
+    cross = k * total_w - (k - last) * float(y[-1])
+    sizes2 = (draws - 1) * k * k + last * last
+    dev2 = max(total_w2 - 2.0 * mean_w * cross + mean_w * mean_w * sizes2, 0.0)
+    se = math.sqrt(draws * dev2 / (draws - 1)) / samples
     conv = _direct_prefactor(basis) / abs(float(np.linalg.det(bj)))
     value = mean_w * conv
     gmax = float(np.abs(g).sum(axis=0).max())

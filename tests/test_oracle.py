@@ -315,33 +315,45 @@ def _exact_enumeration(spec, basis):
     return points, list(found.values()), dim
 
 
-@st.composite
-def _degenerate_subspaces(draw):
-    """Codim-2 and -3 subspaces through the centroid whose basis has a zero
-    column, two parallel columns, or two columns one ulp apart.
+def _degenerate_basis(n, rows, i, j, kind, factor):
+    """The H-perp basis of integer `rows` (codim, n+1) with column j set to
+    column i times `factor` ("zero": 0, "parallel": the factor, "ulp": 1,
+    then one ulp up after orthonormalization), or None when the rows are
+    rank deficient.
 
     A column of the basis is the constraint row r_j of vertex j; Gram-Schmidt
     keeps zero and power-of-two-parallel columns exact.  Every minor on such
     a pair is zero or within rounding of it, so each input reaches the
     oracle's rational fallback.
     """
-    n = draw(st.integers(3, 7))
-    codim = draw(st.integers(2, 3))
-    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
-    rows = np.array(draw(st.lists(row, min_size=codim, max_size=codim)), dtype=float)
-    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-    kind = draw(st.sampled_from(["zero", "parallel", "ulp"]))
-    factor = {"zero": st.just(0.0), "ulp": st.just(1.0)}.get(
-        kind, st.sampled_from([1.0, -1.0, 2.0, -0.5]))
-    rows[:, j] = rows[:, i] * draw(factor)
+    rows = np.array(rows, dtype=float)
+    rows[:, j] = rows[:, i] * factor
     rows[:, n] -= rows.sum(axis=1)  # integer rows, so they sum to 0 exactly
     try:
         q = np.array(linalg.orthonormalize(rows))
     except RankDeficient:
-        assume(False)
+        return None
     if kind == "ulp":
         q[:, j] = np.where(q[:, i] != 0.0, np.nextafter(q[:, i], np.inf), 0.0)
     return subspaces.SubspaceBasis(n=n, vectors=q)
+
+
+@st.composite
+def _degenerate_subspaces(draw):
+    """Codim-2 and -3 subspaces through the centroid whose basis has a zero
+    column, two parallel columns, or two columns one ulp apart
+    (`_degenerate_basis`)."""
+    n = draw(st.integers(3, 7))
+    codim = draw(st.integers(2, 3))
+    row = st.lists(st.integers(-3, 3), min_size=n + 1, max_size=n + 1)
+    rows = draw(st.lists(row, min_size=codim, max_size=codim))
+    i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    kind = draw(st.sampled_from(["zero", "parallel", "ulp"]))
+    factor = {"zero": st.just(0.0), "ulp": st.just(1.0)}.get(
+        kind, st.sampled_from([1.0, -1.0, 2.0, -0.5]))
+    basis = _degenerate_basis(n, rows, i, j, kind, draw(factor))
+    assume(basis is not None)
+    return basis
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

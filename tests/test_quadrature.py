@@ -2,11 +2,16 @@ import bisect
 import heapq
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
+from test_oracle import _degenerate_basis
 
 from simplex_sections import closed_form as cf
 from simplex_sections import extremal, oracle, quadrature, subspaces
@@ -588,52 +593,196 @@ def test_mc_cone_exact_sign_hits_match_oracle():
 
 
 def _cone_reference(basis, samples, seed):
-    """The cone estimate from one (samples, k) exponential draw.
+    """Per-point weights of the cone estimate with every point formed: one
+    (draws, k) exponential draw, the cyclic shifts roll(e, -t) of each draw,
+    draw-major, the first samples of them; a hit by the sign of GE, weight
+    (S / (S + sum GE))^k.
 
-    J maximizes |det B_J| by brute force over all column sets; the weight
-    sums are accumulated per CONE_CHUNK rows, as the estimator does.
+    Returns the weights, the draw of each point and the factor taking a mean
+    weight to a volume; J maximizes |det B_J| by brute force over all column
+    sets.
     """
     b = basis.vectors
     c, k = basis.codim, basis.k
-    cols = max(itertools.combinations(range(basis.n + 1), c),
-               key=lambda j: abs(np.linalg.det(b[:, list(j)])))
+    cols = list(max(itertools.combinations(range(basis.n + 1), c),
+                    key=lambda j: abs(np.linalg.det(b[:, list(j)]))))
     rest = [j for j in range(basis.n + 1) if j not in cols]
-    g = -np.linalg.solve(b[:, list(cols)], b[:, rest])
-    wt = np.vstack([g, np.ones(k), 1.0 + g.sum(axis=0)])
-    s = wt @ np.random.default_rng(seed).standard_exponential((samples, k)).T
-    hit = np.all(s[:c] >= 0.0, axis=0)
-    mu = np.zeros(samples)
-    mu[hit] = s[c][hit] / s[c + 1][hit]
-    w = mu.copy()
-    for _ in range(k - 1):
-        w *= mu
-    total, step = 0.0, quadrature.CONE_CHUNK
-    for lo in range(0, samples, step):
-        total += float(w[lo:lo + step][hit[lo:lo + step]].sum())
-    det = abs(float(np.linalg.det(b[:, list(cols)])))
-    return quadrature._direct_prefactor(basis) / det * (total / samples)
+    g = -np.linalg.solve(b[:, cols], b[:, rest])
+    e = np.random.default_rng(seed).standard_exponential((-(-samples // k), k))
+    pts = np.stack([np.roll(e, -t, axis=1) for t in range(k)], axis=1).reshape(-1, k)[:samples]
+    ge = pts @ g.T
+    s = pts.sum(axis=1)
+    w = np.where(np.all(ge >= 0.0, axis=1), s / (s + ge.sum(axis=1)), 0.0) ** k
+    conv = quadrature._direct_prefactor(basis) / abs(np.linalg.det(b[:, cols]))
+    return w, np.arange(samples) // k, conv
 
 
-@pytest.mark.parametrize("samples", [1000, 2**16, 2**16 + 1, 100_000])
-@pytest.mark.parametrize("n, codim", [(6, 2), (7, 3)])
-def test_mc_cone_matches_dirichlet_reference(n, codim, samples):
-    # chunked exponential fills consume the stream like one (samples, k) draw
-    basis = subspaces.random_subspace_through_centroid(n, n + 1 - codim,
+def _cluster_se(w, draw):
+    """sqrt(m/(m-1) sum_i (y_i - p s_i)^2) / samples, for draw i's weight
+    sum y_i over its s_i points, p the mean weight and m draws."""
+    y, size = np.bincount(draw, weights=w), np.bincount(draw)
+    m = y.size
+    return math.sqrt(m / (m - 1) * np.sum((y - w.mean() * size) ** 2)) / w.size
+
+
+def _assert_matches_cone_reference(basis, samples, seed):
+    w, draw, conv = _cone_reference(basis, samples, seed)
+    got = quadrature.monte_carlo_cone_volume(basis, samples, seed=seed)
+    # the two sum one draw's shifts in different orders, so they agree to
+    # rounding; one point more, less or shifted moves the mean by about 1/samples
+    assert got.value == pytest.approx(w.mean() * conv, rel=1e-12, abs=0)
+    assert got.err == pytest.approx(_cluster_se(w, draw) * conv, rel=1e-9, abs=0)
+
+
+def _cone_reference_bases():
+    return [subspaces.random_subspace_through_centroid(n, n + 1 - codim,
                                                        np.random.default_rng([3, n]))
-    got = quadrature.monte_carlo_cone_volume(basis, samples, seed=11)
-    assert got.value == _cone_reference(basis, samples, 11)
+            for n, codim in [(6, 2), (8, 3)]]
 
 
-def test_mc_cone_memory_is_one_chunk():
-    # the draws live in one fixed buffer, not in (samples, k) temporaries
-    basis = subspaces.random_subspace_through_centroid(10, 9, np.random.default_rng(8))
+# samples = draws * k + extra: one chunk of draws and one draw either side of
+# it, one point into a second chunk, and counts that are no multiple of k
+@pytest.mark.parametrize("draws, extra", [
+    (0, 1000), (quadrature.CONE_CHUNK - 1, 0), (quadrature.CONE_CHUNK, 0),
+    (quadrature.CONE_CHUNK, 1), (quadrature.CONE_CHUNK + 1, 0), (0, 100_000),
+])
+@pytest.mark.parametrize("case", [0, 1], ids=["n6-codim2", "n8-codim3"])
+def test_mc_cone_matches_dirichlet_reference(case, draws, extra):
+    # chunked fills of draws consume the stream like one (draws, k) draw, and
+    # the last draw gives only its first shifts, up to samples points
+    basis = _cone_reference_bases()[case]
+    _assert_matches_cone_reference(basis, draws * basis.k + extra, 11)
+
+
+def test_mc_cone_partial_draws_match_reference():
+    # every count over three draws past the 1000-point floor: the last
+    # draw's shifts are its first ones
+    basis = _cone_reference_bases()[1]
+    for samples in range(1000, 1000 + 3 * basis.k + 1):
+        _assert_matches_cone_reference(basis, samples, 11)
+
+
+@pytest.mark.parametrize("samples", [1000, 1001, 1003, 4 * quadrature.CONE_CHUNK - 1,
+                                     4 * quadrature.CONE_CHUNK + 1])
+def test_mc_cone_counts_exactly_samples_points(samples):
+    # H = span{e0, ..., e3} meets the 6-simplex in the face of its first four
+    # vertices (area sqrt(4)/3! = 1/3): G = 0, so every point hits with
+    # weight 1 and each draw's weight sum equals its number of points, which
+    # leaves no spread between draws; one point more or less than samples
+    # would move the value by 1/samples
+    basis = subspaces.complement_of_span(np.eye(7)[:4])
+    assert basis.k == 4
+    res = quadrature.monte_carlo_cone_volume(basis, samples, seed=1)
+    assert res.value == pytest.approx(1.0 / 3.0, rel=1e-14, abs=0)
+    assert 0.0 < res.err <= 1e-13 * res.value
+
+
+def _self_similar_cone_basis():
+    """Codim 2 at n = 5: J = {0, 1}, and the vertex permutation swapping 0
+    and 1 and rolling 2, 3, 4, 5 by two maps H onto itself, so the shift by
+    two maps the cone onto itself and repeats every weight of the draw.
+
+    The rows (5, 1, 1, b, -3, d) and (1, 5, -3, d, 1, b), b, d = -2 +- sqrt 6,
+    sum to 0 and are orthogonal and of equal norm."""
+    b, d = -2.0 + math.sqrt(6.0), -2.0 - math.sqrt(6.0)
+    rows = np.array([[5, 1, 1, b, -3, d], [1, 5, -3, d, 1, b]])
+    return subspaces.SubspaceBasis(n=5, vectors=rows / np.linalg.norm(rows, axis=1, keepdims=True))
+
+
+def test_mc_cone_err_counts_repeated_shifts():
+    # shifts 0 and 2 of a draw (and 1 and 3) weigh the same, so the i.i.d.
+    # standard error over points is about 1/sqrt(2) of the spread of the
+    # estimates between seeds; the cluster standard error matches it
+    basis = _self_similar_cone_basis()
+    assert quadrature._pivot_columns(basis.vectors) == [0, 1]
+    w = _cone_reference(basis, 4000, 0)[0].reshape(-1, 4)
+    assert np.allclose(w[:, 0], w[:, 2], rtol=1e-12, atol=0)
+    assert np.any(w[:, 0] != w[:, 1])
+    samples, values, errs, iid = 10_000, [], [], []
+    for seed in range(200):
+        res = quadrature.monte_carlo_cone_volume(basis, samples, seed)
+        w, _, conv = _cone_reference(basis, samples, seed)
+        values.append(res.value)
+        errs.append(res.err)
+        iid.append(w.std() / math.sqrt(samples) * conv)
+    spread = float(np.std(values))
+    assert 0.85 <= float(np.median(errs)) / spread <= 1.2
+    assert float(np.median(iid)) / spread <= 0.85
+
+
+def _degenerate_cone_bases(count, rng):
+    """`count` bases of `test_oracle._degenerate_basis` drawn as its
+    strategy does, each meeting the simplex."""
+    bases = []
+    while len(bases) < count:
+        n, codim = int(rng.integers(3, 8)), int(rng.integers(2, 4))
+        i, j = (int(x) for x in rng.choice(n, 2, replace=False))
+        kind = ["zero", "parallel", "ulp"][int(rng.integers(3))]
+        factor = {"zero": 0.0, "ulp": 1.0}.get(kind, float(rng.choice([1.0, -1.0, 2.0, -0.5])))
+        basis = _degenerate_basis(n, rng.integers(-3, 4, size=(codim, n + 1)), i, j, kind, factor)
+        if basis is None:
+            continue
+        try:
+            oracle.kdim_section_vertices(oracle.regular_simplex(n), basis)
+        except EmptySection:
+            continue
+        bases.append(basis)
+    return bases
+
+
+def test_mc_cone_err_is_calibrated():
+    # z = (estimate - oracle) / err over 300 seeded estimates: a random
+    # subspace through the centroid for each n = 3..12 and codim 1..4 (up to
+    # n - 1), and 23 bases with a zero, parallel or one-ulp-apart column pair
+    rng = np.random.default_rng(2026)
+    cases = [subspaces.random_subspace_through_centroid(n, n + 1 - codim, rng)
+             for n in range(3, 13) for codim in range(1, min(4, n - 1) + 1)]
+    cases += _degenerate_cone_bases(23, rng)
+    z = []
+    for i, basis in enumerate(cases):
+        spec = oracle.regular_simplex(basis.n)
+        want = oracle.polytope_volume(oracle.kdim_section_vertices(spec, basis)).value
+        for seed in range(5):
+            res = quadrature.monte_carlo_cone_volume(basis, 100_000, 5 * i + seed + 1)
+            z.append((res.value - want) / res.err)
+    z = np.array(z)
+    assert z.size >= 300
+    assert 0.8 <= z.std() <= 1.2
+    assert np.count_nonzero(np.abs(z) > 3.0) <= 3
+
+
+@pytest.mark.parametrize("n, codim, mib", [(10, 2, 6.5), (12, 4, 9)])
+def test_mc_cone_memory_is_one_chunk(n, codim, mib):
+    # the draws live in one fixed buffer of CONE_CHUNK draws, not in
+    # (samples, k) temporaries: peaks of 5.4 and 7.7 MiB, where one point per
+    # draw in chunks of 2^16 took 9.3 and 11.0
+    basis = subspaces.random_subspace_through_centroid(n, n + 1 - codim, np.random.default_rng(8))
     tracemalloc.start()
     try:
         quadrature.monte_carlo_cone_volume(basis, 10**6, seed=9)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    assert peak < mib * 2**20
+
+
+def test_mc_cone_imports_no_scipy():
+    # scipy is no dependency; a first call with a lazy scipy import would
+    # also cost the set-up of every caller hundreds of milliseconds
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import simplex_sections\n"
+        "from simplex_sections import quadrature, subspaces\n"
+        "basis = subspaces.random_subspace_through_centroid(4, 3, np.random.default_rng(0))\n"
+        "quadrature.monte_carlo_cone_volume(basis, 1000, 0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = [str(Path(quadrature.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("n", [4, 8, 12])
