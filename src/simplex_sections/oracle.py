@@ -44,7 +44,7 @@ from .subspaces import SubspaceBasis
 
 MAX_ENUM_N = 12
 MAX_ENUM_CODIM = 4
-SLAB_CHUNK = 2**13  # draws per exponential fill: 0.7 MB of draws, 1.4 MB of products at n = 10
+SLAB_CHUNK = 2**13  # draws per exponential fill: 0.7 MB of draws, 1.5 MB of products at n = 10
 
 
 @dataclass(frozen=True)
@@ -464,15 +464,26 @@ def monte_carlo_slab_volume(
     ch. 5), mapped through the vertex matrix for general simplices; the hit
     fraction of |<b, x>| <= eps estimates the slab volume, divided by the
     slab width measured inside the simplex's affine hull.  Each draw of n+1
-    exponentials gives n+1 points, its cyclic shifts roll(E, -k): the
-    Dirichlet(1, ..., 1) law is exchangeable, so every shift is a uniform
-    point and the estimate stays unbiased.  ceil(samples / (n+1)) draws are
-    made, the last one giving only the shifts that make up exactly samples
-    points; they fill one buffer of at most SLAB_CHUNK draws in turn and
-    consume the stream as a single (draws, n+1) draw would.
+    exponentials gives 2(n+1) points, its images under the dihedral group
+    of the cycle: the cyclic shifts roll(E, -k), then the shifts
+    roll(E[::-1], k) of its reversal.  The Dirichlet(1, ..., 1) law is
+    exchangeable under every permutation, so every image is a uniform point
+    and the estimate stays unbiased.  ceil(samples / (2(n+1))) draws are
+    made, the last one giving only its first points, so that exactly
+    samples points are used; they fill one buffer of at most SLAB_CHUNK
+    draws in turn and consume the stream as a single (draws, n+1) draw
+    would.
 
-    The shifts of one draw are not independent (on [1, 1, -1, -1] / 2 the
-    shift by 2 negates phi and repeats every event), so err is the cluster
+    <b, x> = lambda . phi with phi = b V, and roll(E, -k) . phi =
+    E . roll(phi, k), roll(E[::-1], k) . phi = E . roll(phi[::-1], k).  So
+    one product per chunk, W' = [roll(phi, k) for each k | roll(phi[::-1],
+    k) for each k | eps 1], taken transposed, gives every point's
+    E_sigma . phi and eps sum(E) as contiguous rows, and a point hits when
+    |E_sigma . phi| <= eps sum(E): no division by sum(E).  The product, its
+    abs and the hit mask are written into buffers allocated once per call.
+
+    The points of one draw are not independent (on [1, 1, -1, -1] / 2 the
+    shift by 2 and the reversal repeat every event), so err is the cluster
     standard error of the ratio estimator over the draws (Cochran, Sampling
     Techniques, ch. 9): sqrt(m/(m-1) sum_i (c_i - p s_i)^2) / samples, for
     draw i's hit count c_i over its s_i points, from exact integer running
@@ -491,22 +502,26 @@ def monte_carlo_slab_volume(
     if b_par <= 1e-12:
         raise OutOfRange("normal is parallel to the affine hull's normal")
     rng = np.random.default_rng(seed)
-    # <b, x> = lam . phi, and |lam . phi| <= eps holds exactly when
-    # E . (phi - eps) <= 0 <= E . (phi + eps): no division by sum(E).
-    # Shift k dots phi as roll(E, -k) . phi = E . roll(phi, k)
     phi = bvec @ spec.vertices
-    rolled = np.stack([np.roll(phi, k) for k in range(n + 1)])
-    wt = np.vstack([rolled - eps, rolled + eps])
-    draws = -(-samples // (n + 1))
-    last = samples - (draws - 1) * (n + 1)  # shifts the last draw gives
-    buf = np.empty((min(draws, SLAB_CHUNK), n + 1))
+    per = 2 * (n + 1)  # points per draw
+    wt = np.vstack([np.roll(phi, k) for k in range(n + 1)]
+                   + [np.roll(phi[::-1], k) for k in range(n + 1)]
+                   + [np.full(n + 1, eps)])
+    draws = -(-samples // per)
+    last = samples - (draws - 1) * per  # points the last draw gives
+    size = min(draws, SLAB_CHUNK)
+    buf = np.empty((size, n + 1))
+    prod = np.empty((per + 1) * size)
+    mask = np.empty(per * size, dtype=bool)
     hits = hits2 = 0
     for lo in range(0, draws, SLAB_CHUNK):
-        e = buf[: min(SLAB_CHUNK, draws - lo)]
+        size = min(SLAB_CHUNK, draws - lo)
+        e = buf[:size]
         rng.standard_exponential(out=e)
-        s = wt @ e.T  # (e W)': one contiguous row per shift and side, no short-row compares
-        hit = s[: n + 1] <= 0.0
-        hit &= s[n + 1 :] >= 0.0
+        # (e W')': one contiguous row per point, then eps sum(E)
+        s = np.matmul(wt, e.T, out=prod[: (per + 1) * size].reshape(per + 1, size))
+        dots = np.abs(s[:per], out=s[:per])
+        hit = np.less_equal(dots, s[per], out=mask[: per * size].reshape(per, size))
         if lo + SLAB_CHUNK >= draws:
             hit[last:, -1] = False
         c = np.count_nonzero(hit, axis=0)  # hits per draw
@@ -514,10 +529,10 @@ def monte_carlo_slab_volume(
         hits2 += int(c @ c)
     if hits == 0:
         raise ZeroHits("no sample landed in the slab")
-    # sum c_i s_i and sum s_i^2: every draw gives n+1 points but the last,
+    # sum c_i s_i and sum s_i^2: every draw gives per points but the last,
     # whose hit count is c[-1]
-    cross = (n + 1) * hits - (n + 1 - last) * int(c[-1])
-    sizes2 = (draws - 1) * (n + 1) ** 2 + last * last
+    cross = per * hits - (per - last) * int(c[-1])
+    sizes2 = (draws - 1) * per * per + last * last
     # samples^2 sum_i (c_i - p s_i)^2 with p = hits / samples, exactly
     dev2 = samples * samples * hits2 - 2 * samples * hits * cross + hits * hits * sizes2
     factor = simplex_volume(spec) * b_par / (2.0 * eps)

@@ -180,15 +180,19 @@ def hyperplane_volume_quadrature(a: Direction, tol: float = 1e-9) -> VolumeResul
 
     Uses evenness of the real part to integrate over [0, inf), folded onto
     [0, 1] by s -> 1/s (see `_folded_line_integrand`): no truncation point
-    and no tail bound, and the 1e-3 pass resumes to the target.
+    and no tail bound, and the 1e-3 pass resumes to the target.  The
+    prefactor sqrt(n+1 - K^2) / (n-1)!, K the coordinate sum of a, is
+    `_direct_prefactor` of the one-row basis, formed from a without one.
     """
     if a.n < 3:
         raise OutOfRange("n >= 3 required for comfortable integrand decay")
     if not (a.a > 0).any() or not (a.a < 0).any():
         raise EmptySection("direction with one-signed coordinates")
-    h = _folded_line_integrand(np.asarray(a.a, dtype=float))
+    coeffs = np.asarray(a.a, dtype=float)
+    h = _folded_line_integrand(coeffs)
     val, err = _adaptive(partial(_gauss_cells, h), _LINE_GRID, max(tol, 1e-12), max_cells=4000)
-    pref = _direct_prefactor(hyperplane_basis_of(a))
+    ksum = float(coeffs.sum())
+    pref = math.sqrt(a.n + 1.0 - ksum * ksum) / math.factorial(a.n - 1)
     return VolumeResult(value=pref * val / math.pi, method="quadrature", err=pref * err / math.pi)
 
 
@@ -411,7 +415,9 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
     and consume the stream as a single (draws, k) draw would.  G E_t is
     roll(G, t) E, so one product with W' = [roll(G, t) for each row of G and
     each t | 1 | roll(1 + G'1, t) for each t], taken transposed, gives every
-    shift's GE, S and S + 1'GE as contiguous rows.
+    shift's GE, S and S + 1'GE as contiguous rows.  The product, the hit
+    masks and the weights are written into buffers allocated once per call,
+    mu over the product's rows of S + 1'GE.
 
     The shifts of one draw are not independent (a shift that maps the cone
     onto itself repeats the draw's weight), so err is the cluster standard
@@ -441,26 +447,37 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
     rng = np.random.default_rng(seed)
     draws = -(-samples // k)
     last = samples - (draws - 1) * k  # shifts the last draw gives
-    buf = np.empty((min(draws, CONE_CHUNK), k))
+    size = min(draws, CONE_CHUNK)
+    buf = np.empty((size, k))
+    # flat buffers, so that a short last chunk's views are contiguous too
+    prod = np.empty((c * k + 1 + k) * size)
+    mask = np.empty(2 * k * size, dtype=bool)
+    w_buf, y_buf = np.empty(k * size), np.empty(2 * size)
     total_w, total_w2 = 0.0, 0.0
     for lo in range(0, draws, CONE_CHUNK):
-        e = buf[: min(CONE_CHUNK, draws - lo)]
+        size = min(CONE_CHUNK, draws - lo)
+        e = buf[:size]
         rng.standard_exponential(out=e)
-        s = wt @ e.T  # (e W)': one contiguous row per shift, no short-row reductions
-        hit = s[:k] >= 0.0
+        # (e W)': one contiguous row per shift, no short-row reductions
+        s = np.matmul(wt, e.T, out=prod[: (c * k + 1 + k) * size].reshape(-1, size))
+        hit, other = mask[: 2 * k * size].reshape(2, k, size)
+        np.greater_equal(s[:k], 0.0, out=hit)
         for i in range(1, c):
-            hit &= s[i * k : (i + 1) * k] >= 0.0
+            hit &= np.greater_equal(s[i * k : (i + 1) * k], 0.0, out=other)
         if lo + CONE_CHUNK >= draws:
             hit[last:, -1] = False
         s_den = s[c * k + 1 :]
-        np.copyto(s_den, np.inf, where=~hit)  # a miss weighs S / inf = 0
-        mu = s[c * k] / s_den
-        w = mu.copy()
+        np.copyto(s_den, np.inf, where=np.logical_not(hit, out=other))  # a miss weighs S / inf = 0
+        mu = np.divide(s[c * k], s_den, out=s_den)
+        w = w_buf[: k * size].reshape(k, size)
+        np.copyto(w, mu)
         for _ in range(k - 1):  # mu^k by k-1 products: np.power costs 10x more
             w *= mu
-        y = w.sum(axis=0)  # weight per draw
+        y, y2 = y_buf[: 2 * size].reshape(2, size)
+        np.sum(w, axis=0, out=y)  # weight per draw
         total_w += float(y.sum())
-        total_w2 += float((y * y).sum())  # pairwise, as y.sum(); a BLAS dot would vary with threads
+        # pairwise, as y.sum(); a BLAS dot would vary with threads
+        total_w2 += float(np.multiply(y, y, out=y2).sum())
     if total_w == 0.0:
         raise ZeroHits("no Monte Carlo sample landed in the cone")
     mean_w = total_w / samples

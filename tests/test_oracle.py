@@ -762,25 +762,37 @@ def test_slab_matches_residue_random():
 
 def _slab_reference(spec, b, eps, samples, seed):
     """The slab estimate with every point formed: the cyclic shifts roll(e, -k)
-    of each draw, draw-major, the first samples of them, then E / sum(E), map, dot.
+    of each draw, then the shifts roll(e[::-1], k) of its reversal, draw-major,
+    the first samples of them, then E / sum(E), map, dot.  Returns the value
+    and the cluster standard error over the draws' hit counts, in floats.
 
     None when no sample hits, where the estimator raises ZeroHits.
     """
     n1 = spec.n + 1
-    e = np.random.default_rng(seed).standard_exponential((-(-samples // n1), n1))
-    pts = np.stack([np.roll(e, -k, axis=1) for k in range(n1)], axis=1).reshape(-1, n1)
-    pts = pts[:samples]
+    e = np.random.default_rng(seed).standard_exponential((-(-samples // (2 * n1)), n1))
+    images = [np.roll(e, -k, axis=1) for k in range(n1)]
+    images += [np.roll(e[:, ::-1], k, axis=1) for k in range(n1)]
+    pts = np.stack(images, axis=1).reshape(-1, n1)[:samples]
     lam = pts / pts.sum(1, keepdims=True)
-    hits = np.count_nonzero(np.abs(lam @ spec.vertices.T @ b) <= eps)
-    if hits == 0:
+    hit = np.abs(lam @ spec.vertices.T @ b) <= eps
+    if not hit.any():
         return None
     b_par = math.sqrt(b @ b - b.sum() ** 2 / n1)
-    return hits / samples * (oracle.simplex_volume(spec) * b_par / (2.0 * eps))
+    factor = oracle.simplex_volume(spec) * b_par / (2.0 * eps)
+    draw = np.arange(samples) // (2 * n1)
+    c, size = np.bincount(draw, weights=hit), np.bincount(draw)
+    m, p = c.size, np.count_nonzero(hit) / samples
+    err = math.sqrt(m / (m - 1) * np.sum((c - p * size) ** 2)) / samples if m > 1 else math.inf
+    return p * factor, err * factor
 
 
-# samples = chunks * SLAB_CHUNK * (n+1) + extra: one point, one full chunk of
-# draws, one point into a second chunk, and a count that is no multiple of n+1
-@pytest.mark.parametrize("chunks, extra", [(0, 1), (1, 0), (1, 1), (0, 100_000)])
+# samples = chunks * SLAB_CHUNK * 2(n+1) + extra: one point, one full chunk of
+# draws, one point into a second chunk, a count that is no multiple of 2(n+1),
+# and a last draw that stops one point short of, at and one point past the
+# reversal's shifts
+@pytest.mark.parametrize("chunks, extra", [
+    (0, 1), (1, 0), (1, 1), (0, 100_000), (1, "n"), (1, "n+1"), (1, "n+2"),
+])
 @pytest.mark.parametrize(
     "spec, b",
     [
@@ -792,29 +804,34 @@ def _slab_reference(spec, b, eps, samples, seed):
 @pytest.mark.parametrize("eps", [0.01, 0.2])
 def test_slab_matches_dirichlet_reference(spec, b, chunks, extra, eps):
     # chunked fills of draws consume the stream like one (draws, n+1) draw,
-    # and the last draw gives only its first shifts, up to samples points;
-    # at eps = 0.2 most points hit, so a wrong choice of shifts shows
-    samples = chunks * oracle.SLAB_CHUNK * (spec.n + 1) + extra
+    # and the last draw gives only its first points, up to samples points;
+    # at eps = 0.2 most points hit, so a wrong choice of points shows
+    n = spec.n
+    extra = {"n": n, "n+1": n + 1, "n+2": n + 2}.get(extra, extra)
+    samples = chunks * oracle.SLAB_CHUNK * 2 * (n + 1) + extra
     want = _slab_reference(spec, b, eps, samples, 11)
     if want is None:
         with pytest.raises(ZeroHits):
             oracle.monte_carlo_slab_volume(spec, b, eps=eps, samples=samples, seed=11)
         return
     got = oracle.monte_carlo_slab_volume(spec, b, eps=eps, samples=samples, seed=11)
-    assert got.value == want
+    assert got.value == want[0]
+    assert got.err == pytest.approx(want[1], rel=1e-9, abs=0)
 
 
 def test_slab_partial_draws_match_reference():
-    # every count up to three draws: the last draw's shifts are its first ones
+    # every count up to three draws: the last draw's points are its first ones
     spec = oracle.regular_simplex(6)
     b = np.array([0.5, 0.3, -0.1, 0.2, -0.6, -0.4, 0.1])
-    for samples in range(1, 3 * (spec.n + 1) + 1):
+    for samples in range(1, 3 * 2 * (spec.n + 1) + 1):
         want = _slab_reference(spec, b, 0.2, samples, 11)
         if want is None:
             with pytest.raises(ZeroHits):
                 oracle.monte_carlo_slab_volume(spec, b, eps=0.2, samples=samples, seed=11)
         else:
-            assert oracle.monte_carlo_slab_volume(spec, b, eps=0.2, samples=samples, seed=11).value == want
+            got = oracle.monte_carlo_slab_volume(spec, b, eps=0.2, samples=samples, seed=11)
+            assert got.value == want[0]
+            assert got.err == pytest.approx(want[1], rel=1e-9, abs=0)
 
 
 def test_slab_matches_oracle_general_simplex():
@@ -825,11 +842,12 @@ def test_slab_matches_oracle_general_simplex():
     assert abs(res.value - want) <= 3 * res.err
 
 
-@pytest.mark.parametrize("n, mib", [(3, 3), (10, 6)])
+@pytest.mark.parametrize("n, mib", [(3, 1.25), (10, 3)])
 def test_slab_memory_is_one_chunk(n, mib):
-    # the draws live in one fixed buffer, with no (samples, n+1) temporaries
-    # and no per-draw array kept across chunks: at n = 3 the peak is about
-    # 1.4 MiB, and one int64 per draw of the 250 000 would add 1.9 MiB
+    # the draws, the products and the hit mask live in buffers allocated once,
+    # with no (samples, n+1) temporaries and no per-draw array kept across
+    # chunks: peaks of 1.07 and 2.49 MiB, where a fresh product and mask per
+    # chunk of n+1 points per draw took 1.35 and 3.59
     a = cf.random_direction_fixed_sum(n, 0.3, np.random.default_rng(8))
     tracemalloc.start()
     try:
@@ -840,25 +858,38 @@ def test_slab_memory_is_one_chunk(n, mib):
     assert peak < mib * 2**20
 
 
-def test_slab_err_counts_repeated_shifts():
-    # on [1, 1, -1, -1] / 2 the shift by 2 negates the normal, so every hit
-    # comes with a second one from the same draw: the hits are pairs, and
-    # err is sqrt(2) times the binomial standard error of independent points
-    spec = oracle.regular_simplex(3)
-    a = cf.Direction.make([0.5, 0.5, -0.5, -0.5])
+# a palindromic normal at n = 4: the reversal's shifts repeat the shifts,
+# and no shift of five coordinates maps the normal onto plus or minus itself
+_SLAB_PALINDROME = np.array([0.5, -0.4, 0.3, -0.4, 0.5]) / math.sqrt(0.91)
+
+
+@pytest.mark.parametrize("b, lo, hi", [
+    # on [1, 1, -1, -1] / 2 the shift by 2 and the reversal both negate the
+    # normal, so every hit comes four times from the same draw
+    (np.array([0.5, 0.5, -0.5, -0.5]), 1.85, 2.15),
+    # only the reversal repeats a hit of the palindrome: pairs
+    (_SLAB_PALINDROME, 1.3, 1.53),
+], ids=["block", "palindrome"])
+def test_slab_err_counts_repeated_shifts(b, lo, hi):
+    # err is sqrt(r) times the binomial standard error of independent points
+    # when every hit comes r times: 2 for the block direction, sqrt(2) for
+    # the palindrome
+    spec = oracle.regular_simplex(len(b) - 1)
     eps, samples = 0.01, 100_000
-    factor = oracle.simplex_volume(spec) * 1.0 / (2.0 * eps)  # b_par = 1
+    b_par = math.sqrt(b @ b - b.sum() ** 2 / len(b))
+    factor = oracle.simplex_volume(spec) * b_par / (2.0 * eps)
     ratios = []
     for seed in range(20):
-        res = oracle.monte_carlo_slab_volume(spec, a, eps, samples, seed)
+        res = oracle.monte_carlo_slab_volume(spec, b, eps, samples, seed)
         p = res.value / factor
         ratios.append(res.err / (math.sqrt(p * (1.0 - p) / samples) * factor))
-    assert 1.3 <= float(np.median(ratios)) <= 1.5
+    assert lo <= float(np.median(ratios)) <= hi
 
 
 def test_slab_err_is_calibrated():
-    # z = (estimate - oracle) / err over 208 seeded estimates: three generic
-    # directions per n = 3..10, the block direction and a general simplex
+    # z = (estimate - oracle) / err over 216 seeded estimates: three generic
+    # directions per n = 3..10, the block direction, a general simplex and
+    # the palindrome
     rng = np.random.default_rng(2024)
     cases = [
         (oracle.regular_simplex(n), cf.random_direction_fixed_sum(n, float(rng.uniform(0, 0.9)), rng).a)
@@ -869,6 +900,7 @@ def test_slab_err_is_calibrated():
     cases.append(
         (irregular.compressed_simplex(5, -0.1).spec(), np.array([0.6, -0.2, 0.3, -0.5, 0.1, -0.2]))
     )
+    cases.append((oracle.regular_simplex(4), _SLAB_PALINDROME))
     z = []
     for i, (spec, b) in enumerate(cases):
         want = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, b)).value
@@ -898,18 +930,19 @@ def test_slab_rejects_non_integer_samples(samples):
         )
 
 
-@pytest.mark.parametrize("samples", [1, 3, 4, 6, 4 * oracle.SLAB_CHUNK + 3])
+@pytest.mark.parametrize("samples", [1, 3, 4, 6, 8, 9, 4 * oracle.SLAB_CHUNK + 3,
+                                     8 * oracle.SLAB_CHUNK + 3])
 def test_slab_counts_exactly_samples_points(samples):
     # eps = 1/2 puts the whole simplex in the slab of [1, 1, -1, -1] / 2, so
     # every point hits: the value is the simplex volume, and each draw's hit
     # count equals its number of points, which leaves no spread between draws
-    # (a single draw has none to measure)
+    # (a single draw, up to 8 points, has none to measure)
     spec = oracle.regular_simplex(3)
     res = oracle.monte_carlo_slab_volume(
         spec, cf.Direction.make([0.5, 0.5, -0.5, -0.5]), eps=0.5, samples=samples, seed=1
     )
     assert res.value == oracle.simplex_volume(spec)
-    assert res.err == (math.inf if samples <= 4 else 0.0)
+    assert res.err == (math.inf if samples <= 8 else 0.0)
 
 
 def test_slab_zero_hits():
