@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import os
 import sys
 import time
@@ -22,6 +21,7 @@ from . import (
     oracle,
     quadrature,
     subspaces,
+    verify,
 )
 from .errors import (
     CounterexampleFound,
@@ -205,18 +205,7 @@ def cmd_volume(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
-def _section_volumes(a: np.ndarray) -> np.ndarray:
-    """Residue volumes of the rows of `a`; 0.0 for a row whose nonzero
-    coordinates share one sign, whose hyperplane meets the simplex in at
-    most a face."""
-    v = np.zeros(len(a))
-    cut = (a.min(axis=1) < 0.0) & (a.max(axis=1) > 0.0)
-    v[cut] = cf.residue_volumes(a[cut])[0]
-    return v
-
-
 def cmd_sweep(args) -> int:
-    rows: list[dict] = []
     if args.frustum:
         xs = np.linspace(0.0, 1.0, args.grid)
         vols = oracle.frustum_volume(args.N, xs)
@@ -233,18 +222,19 @@ def cmd_sweep(args) -> int:
     elif args.maxbound:
         if args.samples_per_k < 0:
             raise SystemExit2("--samples-per-k must be >= 0")
-        lo, hi, step = (float(t) for t in args.K_grid.split(":"))
+        try:
+            lo, hi, step = np.array(args.K_grid.split(":"), dtype=float)
+        except ValueError as exc:
+            raise SystemExit2(f"--K-grid {args.K_grid!r}: {exc}") from exc
+        if not (np.isfinite([lo, hi, step]).all() and step > 0.0):
+            raise SystemExit2(f"--K-grid {args.K_grid!r} needs finite lo, hi and a step > 0")
         ks = np.arange(lo, hi + 0.5 * step, step)
         # every K is range-checked before any cell is sampled
         bounds = [cf.max_noncentral_bound(args.n, float(K))[0] for K in ks]
         rng = np.random.default_rng(args.seed)
         rows = []
         for K, bound in zip(ks, bounds):
-            best = 0.0
-            for a in cf.direction_blocks(
-                cf.random_directions_fixed_sum, args.n, float(K), args.samples_per_k, rng
-            ):
-                best = max(best, float(np.max(_section_volumes(a), initial=0.0)))
+            best = extremal.max_fixed_sum_volume(args.n, float(K), args.samples_per_k, rng)
             rows.append({"K": float(K), "bound": bound, "best_sample": best})
         columns = ["K", "bound", "best_sample"]
     else:
@@ -279,280 +269,22 @@ def vars_without(args, *skip) -> dict:
 # ---------------------------------------------------------------------------
 # verify
 
-def _check(name, fn):
-    t0 = time.perf_counter()
-    try:
-        detail = fn()
-        passed, extra = True, detail or {}
-    except (CounterexampleFound, AssertionError) as exc:
-        passed, extra = False, {"error": str(exc)}
-        if isinstance(exc, CounterexampleFound) and exc.witness is not None:
-            extra["witness"] = exc.witness
-    return {
-        "name": name,
-        "passed": passed,
-        "seconds": time.perf_counter() - t0,
-        **({"detail": extra} if extra else {}),
-    }
-
-
-def _suite_formulas(n_max: int, trials: int, seed: int) -> list[dict]:
-    checks = []
-
-    def specials():
-        for n in range(2, n_max + 1):
-            for make, closed in (
-                (cf.a_min_direction, cf.special_min_volume),
-                (cf.a_max_direction, cf.special_max_volume),
-            ):
-                got = cf.residue_volume(make(n)).value
-                want = closed(n)
-                assert abs(got / want - 1.0) < 1e-12, (n, got, want)
-        return {"n_max": n_max}
-
-    checks.append(_check("closed_form_constants", specials))
-
-    def roundtrips():
-        rng = np.random.default_rng(seed)
-        count = max(trials // 10, 100)
-        for _ in range(count):
-            n = int(rng.integers(2, max(3, n_max) + 1))
-            raw = rng.standard_normal(n + 1)
-            raw -= raw.mean()
-            raw /= np.linalg.norm(raw)
-            t = float(rng.uniform(-0.3, 0.3))
-            form = cf.CentralForm.make(raw, t)
-            b = cf.central_to_embedded(form)
-            back = cf.embedded_to_central(b)
-            assert abs(back.t - form.t) < 1e-10
-            assert float(np.max(np.abs(back.a0.a - form.a0.a))) < 1e-10
-            assert abs(cf.centroid_distance(b) - abs(form.t)) < 1e-12
-        return {"count": count}
-
-    checks.append(_check("representation_roundtrip", roundtrips))
-
-    def three_way():
-        rng = np.random.default_rng(seed + 1)
-        dirs = max(trials // 50, 5)
-        worst_q = worst_o = 0.0
-        for n in range(3, min(n_max, 7) + 1):
-            spec = oracle.regular_simplex(n)
-            for _ in range(dirs):
-                # a sum-zero unit vector has coordinates of both signs
-                a = cf.random_direction_fixed_sum(n, 0.0, rng)
-                rv = cf.residue_volume(a).value
-                qv = quadrature.hyperplane_volume_quadrature(a, 1e-8).value
-                ov = oracle.polytope_volume(
-                    oracle.hyperplane_section_vertices(spec, a)
-                ).value
-                worst_q = max(worst_q, abs(qv / rv - 1.0))
-                worst_o = max(worst_o, abs(ov / rv - 1.0))
-        assert worst_q < 1e-7, worst_q
-        assert worst_o < 1e-9, worst_o
-        return {"worst_quadrature_rel": worst_q, "worst_oracle_rel": worst_o}
-
-    checks.append(_check("three_method_agreement", three_way))
-
-    def prefactors():
-        rng = np.random.default_rng(seed + 2)
-        for _ in range(200):
-            n = int(rng.integers(3, max(4, n_max) + 1))
-            a = cf.random_direction_fixed_sum(n, float(rng.uniform(0, 1)), rng)
-            basis = quadrature.hyperplane_basis_of(a)
-            d = quadrature._direct_prefactor(basis)
-            p = quadrature._pyramid_prefactor(basis)
-            assert abs(d - p) < 1e-12 * max(1.0, abs(d))
-        return {}
-
-    checks.append(_check("prefactor_consistency", prefactors))
-
-    def saturation():
-        for n in range(3, n_max + 1):
-            for K in np.linspace(0.0, 0.99, 12):
-                bound, maximizer = cf.max_noncentral_bound(n, float(K))
-                got = cf.residue_volume(maximizer).value
-                assert abs(got / bound - 1.0) < 1e-12
-        return {}
-
-    checks.append(_check("max_bound_saturation", saturation))
-
-    def bl_pair():
-        for n in range(3, max(n_max, 10) + 1):
-            for k in range(2, n + 1):
-                g, c = cf.brascamp_lieb_bounds(n, k)
-                assert g >= c - 1e-12
-        ratios = [
-            cf.brascamp_lieb_bounds(n, 3)[0] / cf.brascamp_lieb_bounds(n, 3)[1]
-            for n in range(3, 51)
-        ]
-        assert all(r >= 1.0 - 1e-12 for r in ratios)
-        assert abs(ratios[-1] - 1.0) < 0.02
-        return {"ratio_at_n50": ratios[-1]}
-
-    checks.append(_check("kdim_bound_pair", bl_pair))
-    return checks
-
-
-def _suite_extremal(n_max: int, trials: int, seed: int) -> list[dict]:
-    checks = []
-
-    def bound_validity():
-        rng = np.random.default_rng(seed)
-        per = max(trials // 5, 200)
-        for n in range(3, min(n_max, 8) + 1):
-            for K in (0.0, 0.25, 0.5, 0.75, 1.0):
-                bound, _ = cf.max_noncentral_bound(n, K)
-                for a in cf.direction_blocks(cf.random_directions_fixed_sum, n, K, per, rng):
-                    v = _section_volumes(a)
-                    over = np.flatnonzero(v > bound + 1e-10)
-                    if over.size:
-                        raise CounterexampleFound(
-                            f"bound violated at n={n} K={K}: {float(v[over[0]])} > {bound}",
-                            witness=a[over[0]].tolist(),
-                        )
-        return {"per_cell": per}
-
-    checks.append(_check("noncentral_bound_validity", bound_validity))
-
-    def local_min():
-        rng = np.random.default_rng(seed + 3)
-        per = max(trials // 5, 200)
-        for n in range(3, min(n_max, 8) + 1):
-            floor = cf.special_min_volume(n)
-            for a in cf.direction_blocks(cf.random_directions_sign_pattern, n, 1, per, rng):
-                low = np.flatnonzero(cf.residue_volumes(a)[0] < floor - 1e-10)
-                if low.size:
-                    raise CounterexampleFound(
-                        f"one-positive direction below the face-parallel volume at n={n}",
-                        witness=a[low[0]].tolist(),
-                    )
-        return {"per_n": per}
-
-    checks.append(_check("local_minimum_pattern", local_min))
-
-    def global_min():
-        out = {}
-        for n in (2, 3, 4):
-            rep = extremal.verify_global_minimum(n, trials, seed + n)
-            out[str(n)] = {"min": rep.min_value, "margin": rep.margin}
-        assert abs(oracle.frustum_volume(2, 0.5) - 0.5) < 1e-12
-        assert abs(oracle.frustum_volume(3, 0.5) - 9 * math.sqrt(6) / 125) < 1e-12
-        return out
-
-    checks.append(_check("global_minimum_small_n", global_min))
-
-    def frustum_profile():
-        for N, want in ((2, 0.5), (3, 0.5), (4, 0.5)):
-            x, _ = extremal.minimize_frustum(N, 2000)
-            assert abs(x - want) < 1e-8
-        x5, v5 = extremal.minimize_frustum(5, 2000)
-        assert oracle.frustum_volume(5, 0.0) < oracle.frustum_volume(5, 0.5)
-        assert abs(x5) < 1e-8
-        return {"argmin_N5": x5, "min_N5": v5}
-
-    checks.append(_check("frustum_minima", frustum_profile))
-
-    def chain():
-        rng = np.random.default_rng(seed + 4)
-        for _ in range(max(trials // 20, 50)):
-            K = float(rng.uniform(0.0, 0.95))
-            n = int(rng.integers(3, min(n_max, 8) + 1))
-            # sum K in [0, 1) and norm 1 force coordinates of both signs
-            a = cf.random_direction_fixed_sum(n, K, rng)
-            s1 = extremal.concentrate_transform(a, "negative")
-            s2 = extremal.concentrate_transform(s1.transformed, "positive")
-            f = cf.residue_functional(s2.transformed)
-            assert abs(f - 1.0 / math.sqrt(2.0 - K * K)) < 1e-10
-        return {}
-
-    checks.append(_check("concentration_chain_endpoint", chain))
-    return checks
-
-
-_KDIM_PAIRS = ((4, 3), (5, 3), (5, 4), (6, 4))  # (n, k) checked by the kdim suite
-
-
-def _suite_kdim(n_max: int, trials: int, seed: int) -> list[dict]:
-    checks = []
-    pairs = [(n, k) for n, k in _KDIM_PAIRS if n <= n_max]
-
-    def run_pair(nk):
-        n, k = nk
-        rep = extremal.verify_kdim_bounds(n, k, trials, seed + 10 * n + k)
-        assert rep.witness_saturates, (n, k, rep.witness_value)
-        return {
-            "n": n,
-            "k": k,
-            "max_ratio_general": rep.max_ratio_general,
-            "qualified": rep.qualified_count,
-            "witness_value": rep.witness_value,
-        }
-
-    for nk in pairs:
-        checks.append(_check(f"kdim_bounds_{nk[0]}_{nk[1]}", lambda nk=nk: run_pair(nk)))
-    return checks
-
-
-def _suite_irregular(n_max: int, trials: int, seed: int) -> list[dict]:
-    checks = []
-
-    def limits():
-        assert abs(irregular.central_vs_face_ratio_limit(5) - 1.125) < 1e-15
-        assert abs(irregular.central_vs_face_ratio_limit(7) - 1.25) < 1e-15
-        assert abs(irregular.central_vs_face_ratio_limit(3) - 1.0) < 1e-15
-        for n in (5, 7):
-            emp = irregular.extrapolated_degeneracy_ratio(n)
-            assert abs(emp - irregular.central_vs_face_ratio_limit(n)) < 1e-5
-        return {}
-
-    checks.append(_check("ratio_limits", limits))
-
-    def finds():
-        out = {}
-        for n in (5, 7):
-            if n > n_max:
-                continue
-            delta, ratio = irregular.find_central_dominating_delta(n)
-            out[str(n)] = {"delta": delta, "ratio": ratio}
-        try:
-            irregular.find_central_dominating_delta(3)
-            raise AssertionError("n=3 search unexpectedly succeeded")
-        except NotFound:
-            pass
-        return out
-
-    checks.append(_check("central_dominates_faces", finds))
-    return checks
-
-
-_SUITES = {
-    "formulas": _suite_formulas,
-    "extremal": _suite_extremal,
-    "kdim": _suite_kdim,
-    "irregular": _suite_irregular,
-}
-
-
 def cmd_verify(args) -> int:
     if args.trials < 1:
         raise SystemExit2("--trials must be >= 1")
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    kdim_n_min = min(n for n, _ in _KDIM_PAIRS)
-    if "kdim" in names and args.n_max < kdim_n_min:
-        raise SystemExit2(f"--suite {args.suite} needs --n-max >= {kdim_n_min} for a k-dim check")
+    names = list(verify.SUITES) if args.suite == "all" else [args.suite]
+    n_min = max(min(c.n_min for c in verify.SUITES[s]) for s in names)  # each runs a check
+    if args.n_max < n_min:
+        raise SystemExit2(f"--suite {args.suite} needs --n-max >= {n_min}")
     rec = _record("verify", {"suite": args.suite, "seed": args.seed, "trials": args.trials,
                              "n_max": args.n_max}, not args.no_timestamp)
-    all_checks = []
     for name in names:
-        checks = _SUITES[name](args.n_max, args.trials, args.seed)
-        for c in checks:
-            c["suite"] = name
+        for c in verify.run(name, args.n_max, args.trials, args.seed):
             status = "PASS" if c["passed"] else "FAIL"
             seconds = "" if args.no_timestamp else f" ({c['seconds']:.2f}s)"  # comparison mode
             print(f"[{name}] {c['name']}: {status}{seconds}")
-        all_checks.extend(checks)
-    rec["results"] = all_checks
-    rec["pass"] = all(c["passed"] for c in all_checks)
+            rec["results"].append(c)
+    rec["pass"] = all(c["passed"] for c in rec["results"])
     if args.out:
         _emit(rec, args.out)
     elif not rec["pass"]:
@@ -660,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(func=cmd_sweep)
 
     ver = sub.add_parser("verify", help="run a verification suite")
-    ver.add_argument("--suite", choices=[*_SUITES, "all"], required=True)
+    ver.add_argument("--suite", choices=[*verify.SUITES, "all"], required=True)
     ver.add_argument("--n-max", type=int, default=7)
     ver.add_argument("--trials", type=int, default=1000)
     ver.add_argument("--seed", type=int, default=seed_default)

@@ -20,6 +20,7 @@ from .closed_form import (
     Direction,
     brascamp_lieb_bounds,
     direction_blocks,
+    random_directions_fixed_sum,
     random_directions_sign_pattern,
     residue_functional,
     residue_volumes,
@@ -256,37 +257,69 @@ def explore_minimum_search(n: int, trials: int, seed: int) -> MinSearchReport:
 def _min_search(n: int, trials: int, seed: int, check_floor: bool) -> MinSearchReport:
     rng = np.random.default_rng(seed)
     floor = special_min_volume(n)
-    best = math.inf
-    best_dir: tuple = ()
-    per_pattern: dict[int, float] = {}
     per = max(trials // n, 1)
-    for P in range(1, n + 1):
-        pattern_best = math.inf
-        for a in direction_blocks(random_directions_sign_pattern, n, P, per, rng):
-            vol = residue_volumes(a)[0]
-            if check_floor:
-                low = np.flatnonzero(vol < floor - 1e-10)
-                if low.size:
-                    raise CounterexampleFound(
-                        f"section volume {float(vol[low[0]])} below the face-parallel "
-                        f"minimum {floor}",
-                        witness=tuple(a[low[0]].tolist()),
-                    )
-            i = int(np.argmin(vol))  # the first minimum, as a strict < scan keeps
-            pattern_best = min(pattern_best, float(vol[i]))
-            if vol[i] < best:
-                best, best_dir = float(vol[i]), tuple(a[i].tolist())
-        per_pattern[P] = pattern_best
+    scans = [min_sign_pattern_volume(n, P, per, rng, floor if check_floor else -math.inf)
+             for P in range(1, n + 1)]
+    best, best_dir = min(scans, key=lambda scan: scan[0])  # the first minimum
     return MinSearchReport(
         n=n,
         trials=per * n,
         floor=floor,
         min_value=best,
-        min_direction=best_dir,
+        min_direction=tuple(best_dir.tolist()),
         margin=best - floor,
-        per_pattern=per_pattern,
+        per_pattern={P: low for P, (low, _) in enumerate(scans, 1)},
         passed=True,
     )
+
+
+def min_sign_pattern_volume(n: int, P: int, count: int, rng: np.random.Generator,
+                            floor: float) -> tuple[float, np.ndarray]:
+    """The smallest residue volume over `count` directions with P positive
+    coordinates from rng, and its first direction.  Raises CounterexampleFound
+    with the first direction below floor - 1e-10."""
+    best, best_dir = math.inf, None
+    for a in direction_blocks(random_directions_sign_pattern, n, P, count, rng):
+        vol = residue_volumes(a)[0]
+        low = np.flatnonzero(vol < floor - 1e-10)
+        if low.size:
+            raise CounterexampleFound(
+                f"section volume {float(vol[low[0]])} below the face-parallel "
+                f"minimum {floor}",
+                witness=tuple(a[low[0]].tolist()),
+            )
+        i = int(np.argmin(vol))  # the first minimum, as a strict < scan keeps
+        if vol[i] < best:
+            best, best_dir = float(vol[i]), a[i]
+    return best, best_dir
+
+
+def _section_volumes(a: np.ndarray) -> np.ndarray:
+    """Residue volumes of the rows of `a`; 0.0 for a row whose nonzero
+    coordinates share one sign, whose hyperplane meets the simplex in at
+    most a face."""
+    v = np.zeros(len(a))
+    cut = (a.min(axis=1) < 0.0) & (a.max(axis=1) > 0.0)
+    v[cut] = residue_volumes(a[cut])[0]
+    return v
+
+
+def max_fixed_sum_volume(n: int, K: float, count: int, rng: np.random.Generator,
+                         bound: float = math.inf) -> float:
+    """The largest section volume over `count` directions with coordinate sum
+    K from rng, or 0.0.  Raises CounterexampleFound with the first direction
+    above bound + 1e-10."""
+    best = 0.0
+    for a in direction_blocks(random_directions_fixed_sum, n, K, count, rng):
+        v = _section_volumes(a)
+        over = np.flatnonzero(v > bound + 1e-10)
+        if over.size:
+            raise CounterexampleFound(
+                f"bound violated at n={n} K={K}: {float(v[over[0]])} > {bound}",
+                witness=a[over[0]].tolist(),
+            )
+        best = max(best, float(np.max(v, initial=0.0)))
+    return best
 
 
 @dataclass

@@ -10,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from simplex_sections import cli, extremal
+from simplex_sections import cli, extremal, verify
 from simplex_sections.errors import EmptySection
 
 SCHEMA = json.loads(
@@ -252,7 +252,7 @@ def test_verify_extremal_suite():
 def test_section_volumes_count_one_signed_rows_as_zero():
     # as the per-direction sweeps' EmptySection handler did
     a = np.array([[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, -0.5, -0.5], [0.5, 0.5, 0.5, 0.5]])
-    assert cli._section_volumes(a).tolist() == [0.0, 0.5, 0.0]
+    assert extremal._section_volumes(a).tolist() == [0.0, 0.5, 0.0]
 
 
 def test_sweep_maxbound_matches_per_direction_loop(capsys, monkeypatch):
@@ -280,7 +280,7 @@ def _no_sampling(monkeypatch):
     def sampler(*args):
         raise AssertionError("sampled a direction")
 
-    monkeypatch.setattr(cli.cf, "random_directions_fixed_sum", sampler)
+    monkeypatch.setattr(extremal, "random_directions_fixed_sum", sampler)
 
 
 def test_sweep_maxbound_rejects_negative_samples_before_sampling(capsys, monkeypatch):
@@ -292,6 +292,16 @@ def test_sweep_maxbound_rejects_negative_samples_before_sampling(capsys, monkeyp
     assert out == "" and "--samples-per-k" in err
 
 
+@pytest.mark.parametrize("grid", ["0:1", "a:b:c", "0:1:0", "0:1:-0.1", "0:nan:0.1"])
+def test_sweep_maxbound_rejects_malformed_K_grid_before_sampling(grid, capsys, monkeypatch):
+    _no_sampling(monkeypatch)
+    with pytest.raises(SystemExit) as got:
+        cli.main(["sweep", "--maxbound", "--n", "4", "--K-grid", grid])
+    assert got.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"--K-grid {grid!r}" in err
+
+
 def test_sweep_maxbound_checks_every_K_before_sampling(capsys, monkeypatch):
     _no_sampling(monkeypatch)
     code = cli.main(["sweep", "--maxbound", "--n", "4", "--K-grid", "0:2:0.1"])
@@ -300,9 +310,17 @@ def test_sweep_maxbound_checks_every_K_before_sampling(capsys, monkeypatch):
     assert out == "" and err == "numeric failure: OutOfRange: K=1.1 outside [0, 1]\n"
 
 
+def _no_checks(monkeypatch):
+    def check(*args):
+        pytest.fail("ran a check")
+
+    monkeypatch.setattr(verify, "SUITES", {name: tuple(c._replace(check=check) for c in checks)
+                                           for name, checks in verify.SUITES.items()})
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_trials_below_one_is_usage_error(trials, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_SUITES", {name: None for name in cli._SUITES})  # none may run
+    _no_checks(monkeypatch)
     with pytest.raises(SystemExit) as got:
         cli.main(["verify", "--suite", "kdim", "--n-max", "5", "--trials", trials])
     assert got.value.code == cli.EXIT_USAGE
@@ -310,15 +328,20 @@ def test_verify_trials_below_one_is_usage_error(trials, capsys, monkeypatch):
     assert out == "" and "--trials must be >= 1" in err
 
 
-@pytest.mark.parametrize("suite, n_max", [("kdim", "3"), ("all", "3"), ("all", "1")])
+@pytest.mark.parametrize("suite, n_max", [
+    ("kdim", "3"), ("all", "3"), ("all", "1"),
+    ("formulas", "2"), ("formulas", "-3"), ("extremal", "2"), ("irregular", "2"),
+])
 def test_verify_kdim_below_smallest_n_is_usage_error(suite, n_max, capsys, monkeypatch):
-    # below n = 4 the kdim suite has no (n, k) pair to check: a vacuous PASS
-    monkeypatch.setattr(cli, "_SUITES", {name: None for name in cli._SUITES})  # none may run
+    # below n = 4 the kdim suite has no (n, k) pair to check: a vacuous PASS;
+    # below n = 3 several checks of the other suites sample no n at all
+    _no_checks(monkeypatch)
     with pytest.raises(SystemExit) as got:
         cli.main(["verify", "--suite", suite, "--n-max", n_max, "--trials", "5"])
     assert got.value.code == cli.EXIT_USAGE
     out, err = capsys.readouterr()
-    assert out == "" and f"--suite {suite} needs --n-max >= 4" in err
+    n_min = 4 if suite in ("kdim", "all") else 3
+    assert out == "" and f"--suite {suite} needs --n-max >= {n_min}" in err
 
 
 def _planted_failure(tmp_path, name):

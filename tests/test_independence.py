@@ -3,7 +3,8 @@
 The oracle and the quadrature may take the shared `Direction` and
 `VolumeResult` types from `closed_form` (the quadrature also the
 origin-distance helper that places its subspace), and nothing else; the
-residue module imports neither of them.
+residue module imports neither of them.  No method imports the harness
+that checks the methods against each other and against the paper's bounds.
 """
 import ast
 from pathlib import Path
@@ -58,3 +59,8 @@ def test_methods_take_only_shared_types_from_the_residue(module, allowed):
 
 def test_residue_imports_no_other_method():
     assert not {"oracle", "quadrature"} & _imports("closed_form").keys()
+
+
+@pytest.mark.parametrize("module", METHODS)
+def test_methods_import_no_harness_module(module):
+    assert not {"extremal", "irregular", "verify", "cli"} & _imports(module).keys()
