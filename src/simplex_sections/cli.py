@@ -38,6 +38,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
+MAX_GRID_POINTS = 10**6  # rows of a sweep table, for --grid and --K-grid alike
 
 
 def _fmt(x: float) -> str:
@@ -205,7 +206,13 @@ def cmd_volume(args) -> int:
 # ---------------------------------------------------------------------------
 # sweep
 
+def _check_grid(points, what: str) -> None:
+    if not 0 < points <= MAX_GRID_POINTS:  # for --K-grid, the ratio np.arange rounds up
+        raise SystemExit2(f"{what} must give 1 to MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
+
+
 def cmd_sweep(args) -> int:
+    _check_grid(args.grid, f"--grid {args.grid}")
     if args.frustum:
         xs = np.linspace(0.0, 1.0, args.grid)
         vols = oracle.frustum_volume(args.N, xs)
@@ -228,6 +235,7 @@ def cmd_sweep(args) -> int:
             raise SystemExit2(f"--K-grid {args.K_grid!r}: {exc}") from exc
         if not (np.isfinite([lo, hi, step]).all() and step > 0.0):
             raise SystemExit2(f"--K-grid {args.K_grid!r} needs finite lo, hi and a step > 0")
+        _check_grid((hi + 0.5 * step - lo) / step, f"--K-grid {args.K_grid!r}")
         ks = np.arange(lo, hi + 0.5 * step, step)
         # every K is range-checked before any cell is sampled
         bounds = [cf.max_noncentral_bound(args.n, float(K))[0] for K in ks]

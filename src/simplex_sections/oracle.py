@@ -24,13 +24,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
+from . import montecarlo
 from .closed_form import Direction, VolumeResult
 from .errors import (
     DegeneratePolytope,
@@ -44,7 +44,6 @@ from .subspaces import SubspaceBasis
 
 MAX_ENUM_N = 12
 MAX_ENUM_CODIM = 4
-SLAB_CHUNK = 2**13  # draws per exponential fill: 0.7 MB of draws, 1.5 MB of products at n = 10
 
 
 @dataclass(frozen=True)
@@ -459,83 +458,41 @@ def monte_carlo_slab_volume(
 ) -> VolumeResult:
     """Third independent check: uniform sampling of a thin slab around H_b.
 
-    Points are drawn flat on the simplex as lambda = E / sum(E) with i.i.d.
-    standard exponential E (Devroye, Non-Uniform Random Variate Generation,
-    ch. 5), mapped through the vertex matrix for general simplices; the hit
-    fraction of |<b, x>| <= eps estimates the slab volume, divided by the
-    slab width measured inside the simplex's affine hull.  Each draw of n+1
-    exponentials gives 2(n+1) points, its images under the dihedral group
-    of the cycle: the cyclic shifts roll(E, -k), then the shifts
-    roll(E[::-1], k) of its reversal.  The Dirichlet(1, ..., 1) law is
-    exchangeable under every permutation, so every image is a uniform point
-    and the estimate stays unbiased.  ceil(samples / (2(n+1))) draws are
-    made, the last one giving only its first points, so that exactly
-    samples points are used; they fill one buffer of at most SLAB_CHUNK
-    draws in turn and consume the stream as a single (draws, n+1) draw
-    would.
+    The hit fraction of |<b, x>| <= eps over the points of
+    `montecarlo.cluster_mean`, mapped through the vertex matrix, estimates
+    the slab volume, divided by the slab width inside the affine hull.
+    Each draw of n+1 exponentials gives 2(n+1) points, its images under the
+    dihedral group of the cycle: the cyclic shifts roll(E, -k), then the
+    shifts roll(E[::-1], k) of its reversal.
 
     <b, x> = lambda . phi with phi = b V, and roll(E, -k) . phi =
     E . roll(phi, k), roll(E[::-1], k) . phi = E . roll(phi[::-1], k).  So
-    one product per chunk, W' = [roll(phi, k) for each k | roll(phi[::-1],
-    k) for each k | eps 1], taken transposed, gives every point's
-    E_sigma . phi and eps sum(E) as contiguous rows, and a point hits when
-    |E_sigma . phi| <= eps sum(E): no division by sum(E).  The product, its
-    abs and the hit mask are written into buffers allocated once per call.
-
-    The points of one draw are not independent (on [1, 1, -1, -1] / 2 the
-    shift by 2 and the reversal repeat every event), so err is the cluster
-    standard error of the ratio estimator over the draws (Cochran, Sampling
-    Techniques, ch. 9): sqrt(m/(m-1) sum_i (c_i - p s_i)^2) / samples, for
-    draw i's hit count c_i over its s_i points, from exact integer running
-    sums of c, c^2 and c s.  A single draw has no spread to measure and
-    gets err = inf.
+    W' = [roll(phi, k) for each k | roll(phi[::-1], k) for each k | eps 1]
+    gives every point's E_sigma . phi and eps sum(E) as contiguous rows: a
+    point hits when |E_sigma . phi| <= eps sum(E), with no division.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
-        raise OutOfRange(f"samples must be an integer, not {samples!r}")
-    if not (math.isfinite(eps) and eps > 0.0) or samples < 1:
-        raise OutOfRange("finite eps > 0 and samples >= 1 required")
-    samples = int(samples)
+    samples = montecarlo.check_samples(samples, 1)
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise OutOfRange("finite eps > 0 required")
     bvec = b.a if isinstance(b, Direction) else np.asarray(b, dtype=float)
     n = spec.n
     ksum = float(bvec.sum())
     b_par = math.sqrt(max(0.0, float(bvec @ bvec) - ksum * ksum / (n + 1.0)))
     if b_par <= 1e-12:
         raise OutOfRange("normal is parallel to the affine hull's normal")
-    rng = np.random.default_rng(seed)
     phi = bvec @ spec.vertices
     per = 2 * (n + 1)  # points per draw
     wt = np.vstack([np.roll(phi, k) for k in range(n + 1)]
                    + [np.roll(phi[::-1], k) for k in range(n + 1)]
                    + [np.full(n + 1, eps)])
-    draws = -(-samples // per)
-    last = samples - (draws - 1) * per  # points the last draw gives
-    size = min(draws, SLAB_CHUNK)
-    buf = np.empty((size, n + 1))
-    prod = np.empty((per + 1) * size)
-    mask = np.empty(per * size, dtype=bool)
-    hits = hits2 = 0
-    for lo in range(0, draws, SLAB_CHUNK):
-        size = min(SLAB_CHUNK, draws - lo)
-        e = buf[:size]
-        rng.standard_exponential(out=e)
-        # (e W')': one contiguous row per point, then eps sum(E)
-        s = np.matmul(wt, e.T, out=prod[: (per + 1) * size].reshape(per + 1, size))
+    mask = np.empty(per * min(-(-samples // per), montecarlo.CHUNK), dtype=bool)
+
+    def hits(s):
         dots = np.abs(s[:per], out=s[:per])
-        hit = np.less_equal(dots, s[per], out=mask[: per * size].reshape(per, size))
-        if lo + SLAB_CHUNK >= draws:
-            hit[last:, -1] = False
-        c = np.count_nonzero(hit, axis=0)  # hits per draw
-        hits += int(c.sum())
-        hits2 += int(c @ c)
-    if hits == 0:
+        return np.less_equal(dots, s[per], out=mask[: dots.size].reshape(dots.shape))
+
+    p, se = montecarlo.cluster_mean(wt, hits, per, samples, seed)
+    if p == 0.0:
         raise ZeroHits("no sample landed in the slab")
-    # sum c_i s_i and sum s_i^2: every draw gives per points but the last,
-    # whose hit count is c[-1]
-    cross = per * hits - (per - last) * int(c[-1])
-    sizes2 = (draws - 1) * per * per + last * last
-    # samples^2 sum_i (c_i - p s_i)^2 with p = hits / samples, exactly
-    dev2 = samples * samples * hits2 - 2 * samples * hits * cross + hits * hits * sizes2
     factor = simplex_volume(spec) * b_par / (2.0 * eps)
-    value = hits / samples * factor
-    err = math.sqrt(draws * dev2 / (draws - 1)) / samples**2 * factor if draws > 1 else math.inf
-    return VolumeResult(value=value, method="monte-carlo", err=err)
+    return VolumeResult(value=p * factor, method="monte-carlo", err=se * factor)

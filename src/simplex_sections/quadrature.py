@@ -11,9 +11,8 @@ its two bounding ridges on the axes, and the sectors lie side by side in
 one grid.  Both run on one Gauss-pair rule for boxes of any dimension,
 `_gauss_cells`, and one adaptive driver, `_adaptive`.  Higher
 codimension is served by the vertex-enumeration oracle instead; the
-Monte Carlo check `monte_carlo_cone_volume` takes any codimension.  It
-counts the k cyclic shifts of each exponential draw as points, so its err
-is a cluster standard error over the draws.
+Monte Carlo check `monte_carlo_cone_volume` takes any codimension, on the
+draw loop of `montecarlo`.
 
 Both integrands form the product in real arithmetic: contiguous re and im
 arrays over the points take one factor a + i b at a time as
@@ -27,18 +26,17 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from functools import partial
 
 import numpy as np
 
+from . import montecarlo
 from .closed_form import Direction, VolumeResult, subspace_origin_distance
 from .errors import EmptySection, NotSupported, OutOfRange, TolUnreachable, ZeroHits
 from .subspaces import SubspaceBasis
 
 MAX_DEPTH = 40
 CHUNK = 64  # cells per call, 14400 points at 15^2; 32 to 256 within 15% on sector grids
-CONE_CHUNK = 2**13  # draws per exponential fill: 0.6 MB of draws, 1.8 MB of products at n = 10, codim 2
 CONE_ROUND_U = 64  # unit roundoffs allowed for the prefactor, det B_J and the weight sums
 
 _GL_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -407,33 +405,17 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
         vol = _direct_prefactor(basis) / |det B_J| * E[mu^k 1{GE >= 0}],
 
     with weights mu^k in (0, 1].  Hits are decided by the exact sign of GE.
-    Each draw of k exponentials gives k points, its cyclic shifts
-    E_t = roll(E, -t): E is exchangeable, so every shift is a face point of
-    the same law and the estimate stays unbiased.  ceil(samples / k) draws
-    are made, the last one giving only the shifts that make up exactly
-    samples points; they fill one buffer of at most CONE_CHUNK draws in turn
-    and consume the stream as a single (draws, k) draw would.  G E_t is
-    roll(G, t) E, so one product with W' = [roll(G, t) for each row of G and
-    each t | 1 | roll(1 + G'1, t) for each t], taken transposed, gives every
-    shift's GE, S and S + 1'GE as contiguous rows.  The product, the hit
-    masks and the weights are written into buffers allocated once per call,
-    mu over the product's rows of S + 1'GE.
-
-    The shifts of one draw are not independent (a shift that maps the cone
-    onto itself repeats the draw's weight), so err is the cluster standard
-    error of the ratio estimator over the draws (Cochran, Sampling
-    Techniques, ch. 9): sqrt(m/(m-1) sum_i (y_i - p s_i)^2) / samples, for
-    draw i's weight sum y_i over its s_i points and p the mean weight, from
-    running sums of y and y^2; plus a rounding term: on a hit mu carries a
-    relative rounding of at most (2k + c + 1)(1 + g) u to first order, g the
-    largest column sum of |G| (as computed, the same for every shift); mu^k
-    multiplies it by k and its k - 1 products add k u at most; the
+    `montecarlo.cluster_mean` draws the face points, k per draw: the cyclic
+    shifts E_t = roll(E, -t) of its k exponentials.  As G E_t = roll(G, t) E,
+    W' = [roll(G, t) for each row of G and each t | 1 | roll(1 + G'1, t) for
+    each t] gives every shift's GE, S and S + 1'GE as contiguous rows.  err
+    is the cluster standard error plus a rounding term: on a hit mu carries
+    a relative rounding of at most (2k + c + 1)(1 + g) u to first order, g
+    the largest column sum of |G| (as computed, the same for every shift);
+    mu^k multiplies it by k and its k - 1 products add k u at most; the
     prefactor, det B_J and the sums add CONE_ROUND_U u.
     """
-    if isinstance(samples, bool) or not isinstance(samples, numbers.Integral):
-        raise OutOfRange(f"samples must be an integer, not {samples!r}")
-    if samples < 1000:
-        raise OutOfRange("samples >= 1000 required")
+    samples = montecarlo.check_samples(samples, 1000)
     b = np.asarray(basis.vectors, dtype=float)
     c, k = basis.codim, basis.k
     cols = _pivot_columns(b)
@@ -444,49 +426,26 @@ def monte_carlo_cone_volume(basis: SubspaceBasis, samples: int, seed: int) -> Vo
     shifts = [np.roll(g, t, axis=1) for t in range(k)]
     den = [np.roll(1.0 + g.sum(axis=0), t) for t in range(k)]
     wt = np.vstack([np.stack(shifts, axis=1).reshape(c * k, k), np.ones(k), den])
-    rng = np.random.default_rng(seed)
-    draws = -(-samples // k)
-    last = samples - (draws - 1) * k  # shifts the last draw gives
-    size = min(draws, CONE_CHUNK)
-    buf = np.empty((size, k))
-    # flat buffers, so that a short last chunk's views are contiguous too
-    prod = np.empty((c * k + 1 + k) * size)
-    mask = np.empty(2 * k * size, dtype=bool)
-    w_buf, y_buf = np.empty(k * size), np.empty(2 * size)
-    total_w, total_w2 = 0.0, 0.0
-    for lo in range(0, draws, CONE_CHUNK):
-        size = min(CONE_CHUNK, draws - lo)
-        e = buf[:size]
-        rng.standard_exponential(out=e)
-        # (e W)': one contiguous row per shift, no short-row reductions
-        s = np.matmul(wt, e.T, out=prod[: (c * k + 1 + k) * size].reshape(-1, size))
-        hit, other = mask[: 2 * k * size].reshape(2, k, size)
+    size = min(-(-samples // k), montecarlo.CHUNK)
+    mask, w_buf = np.empty(2 * k * size, dtype=bool), np.empty(k * size)
+
+    def weights(s):
+        hit, other = mask[: 2 * s[:k].size].reshape(2, k, -1)
         np.greater_equal(s[:k], 0.0, out=hit)
         for i in range(1, c):
             hit &= np.greater_equal(s[i * k : (i + 1) * k], 0.0, out=other)
-        if lo + CONE_CHUNK >= draws:
-            hit[last:, -1] = False
         s_den = s[c * k + 1 :]
         np.copyto(s_den, np.inf, where=np.logical_not(hit, out=other))  # a miss weighs S / inf = 0
         mu = np.divide(s[c * k], s_den, out=s_den)
-        w = w_buf[: k * size].reshape(k, size)
+        w = w_buf[: mu.size].reshape(mu.shape)
         np.copyto(w, mu)
         for _ in range(k - 1):  # mu^k by k-1 products: np.power costs 10x more
             w *= mu
-        y, y2 = y_buf[: 2 * size].reshape(2, size)
-        np.sum(w, axis=0, out=y)  # weight per draw
-        total_w += float(y.sum())
-        # pairwise, as y.sum(); a BLAS dot would vary with threads
-        total_w2 += float(np.multiply(y, y, out=y2).sum())
-    if total_w == 0.0:
+        return w
+
+    mean_w, se = montecarlo.cluster_mean(wt, weights, k, samples, seed)
+    if mean_w == 0.0:
         raise ZeroHits("no Monte Carlo sample landed in the cone")
-    mean_w = total_w / samples
-    # sum y_i s_i and sum s_i^2: every draw gives k points but the last,
-    # whose weight sum is y[-1]
-    cross = k * total_w - (k - last) * float(y[-1])
-    sizes2 = (draws - 1) * k * k + last * last
-    dev2 = max(total_w2 - 2.0 * mean_w * cross + mean_w * mean_w * sizes2, 0.0)
-    se = math.sqrt(draws * dev2 / (draws - 1)) / samples
     conv = _direct_prefactor(basis) / abs(float(np.linalg.det(bj)))
     value = mean_w * conv
     gmax = float(np.abs(g).sum(axis=0).max())

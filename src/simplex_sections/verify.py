@@ -1,8 +1,9 @@
 """The checks of `simplex-sections verify`: suite -> named check(n_max, trials, seed).
 
 A check returns its detail (or None), or fails by raising CounterexampleFound
-or AssertionError.  Checks look up closed-form names through the module when
-they run, so that a test can plant a wrong bound or floor there.
+or AssertionError (by `_expect`: python -O strips `assert`).  Checks look up
+closed-form names through the module when they run, so that a test can
+plant a wrong bound or floor there.
 """
 from __future__ import annotations
 
@@ -21,6 +22,12 @@ from .errors import CounterexampleFound, NotFound
 Check = namedtuple("Check", "name check n_min", defaults=(3,))
 
 
+def _expect(ok, *detail) -> None:
+    """Fail the check unless `ok`: an `assert` that python -O keeps."""
+    if not ok:
+        raise AssertionError(*detail)
+
+
 def _closed_form_constants(n_max: int, trials: int, seed: int) -> dict:
     for n in range(2, n_max + 1):
         for make, closed in (
@@ -29,7 +36,7 @@ def _closed_form_constants(n_max: int, trials: int, seed: int) -> dict:
         ):
             got = cf.residue_volume(make(n)).value
             want = closed(n)
-            assert abs(got / want - 1.0) < 1e-12, (n, got, want)
+            _expect(abs(got / want - 1.0) < 1e-12, (n, got, want))
     return {"n_max": n_max}
 
 
@@ -45,9 +52,9 @@ def _representation_roundtrip(n_max: int, trials: int, seed: int) -> dict:
         form = cf.CentralForm.make(raw, t)
         b = cf.central_to_embedded(form)
         back = cf.embedded_to_central(b)
-        assert abs(back.t - form.t) < 1e-10
-        assert float(np.max(np.abs(back.a0.a - form.a0.a))) < 1e-10
-        assert abs(cf.centroid_distance(b) - abs(form.t)) < 1e-12
+        _expect(abs(back.t - form.t) < 1e-10)
+        _expect(float(np.max(np.abs(back.a0.a - form.a0.a))) < 1e-10)
+        _expect(abs(cf.centroid_distance(b) - abs(form.t)) < 1e-12)
     return {"count": count}
 
 
@@ -65,8 +72,8 @@ def _three_method_agreement(n_max: int, trials: int, seed: int) -> dict:
             ov = oracle.polytope_volume(oracle.hyperplane_section_vertices(spec, a)).value
             worst_q = max(worst_q, abs(qv / rv - 1.0))
             worst_o = max(worst_o, abs(ov / rv - 1.0))
-    assert worst_q < 1e-7, worst_q
-    assert worst_o < 1e-9, worst_o
+    _expect(worst_q < 1e-7, worst_q)
+    _expect(worst_o < 1e-9, worst_o)
     return {"worst_quadrature_rel": worst_q, "worst_oracle_rel": worst_o}
 
 
@@ -78,7 +85,7 @@ def _prefactor_consistency(n_max: int, trials: int, seed: int) -> None:
         basis = quadrature.hyperplane_basis_of(a)
         d = quadrature._direct_prefactor(basis)
         p = quadrature._pyramid_prefactor(basis)
-        assert abs(d - p) < 1e-12 * max(1.0, abs(d))
+        _expect(abs(d - p) < 1e-12 * max(1.0, abs(d)))
 
 
 def _max_bound_saturation(n_max: int, trials: int, seed: int) -> None:
@@ -86,17 +93,17 @@ def _max_bound_saturation(n_max: int, trials: int, seed: int) -> None:
         for K in np.linspace(0.0, 0.99, 12):
             bound, maximizer = cf.max_noncentral_bound(n, float(K))
             got = cf.residue_volume(maximizer).value
-            assert abs(got / bound - 1.0) < 1e-12
+            _expect(abs(got / bound - 1.0) < 1e-12)
 
 
 def _kdim_bound_pair(n_max: int, trials: int, seed: int) -> dict:
     for n in range(3, max(n_max, 10) + 1):
         for k in range(2, n + 1):
             g, c = cf.brascamp_lieb_bounds(n, k)
-            assert g >= c - 1e-12
+            _expect(g >= c - 1e-12)
     ratios = [g / c for g, c in (cf.brascamp_lieb_bounds(n, 3) for n in range(3, 51))]
-    assert all(r >= 1.0 - 1e-12 for r in ratios)
-    assert abs(ratios[-1] - 1.0) < 0.02
+    _expect(all(r >= 1.0 - 1e-12 for r in ratios))
+    _expect(abs(ratios[-1] - 1.0) < 0.02)
     return {"ratio_at_n50": ratios[-1]}
 
 
@@ -122,18 +129,18 @@ def _global_minimum_small_n(n_max: int, trials: int, seed: int) -> dict:
     for n in (2, 3, 4):
         rep = extremal.verify_global_minimum(n, trials, seed + n)
         out[str(n)] = {"min": rep.min_value, "margin": rep.margin}
-    assert abs(oracle.frustum_volume(2, 0.5) - 0.5) < 1e-12
-    assert abs(oracle.frustum_volume(3, 0.5) - 9 * math.sqrt(6) / 125) < 1e-12
+    _expect(abs(oracle.frustum_volume(2, 0.5) - 0.5) < 1e-12)
+    _expect(abs(oracle.frustum_volume(3, 0.5) - 9 * math.sqrt(6) / 125) < 1e-12)
     return out
 
 
 def _frustum_minima(n_max: int, trials: int, seed: int) -> dict:
     for N, want in ((2, 0.5), (3, 0.5), (4, 0.5)):
         x, _ = extremal.minimize_frustum(N, 2000)
-        assert abs(x - want) < 1e-8
+        _expect(abs(x - want) < 1e-8)
     x5, v5 = extremal.minimize_frustum(5, 2000)
-    assert oracle.frustum_volume(5, 0.0) < oracle.frustum_volume(5, 0.5)
-    assert abs(x5) < 1e-8
+    _expect(oracle.frustum_volume(5, 0.0) < oracle.frustum_volume(5, 0.5))
+    _expect(abs(x5) < 1e-8)
     return {"argmin_N5": x5, "min_N5": v5}
 
 
@@ -147,12 +154,12 @@ def _concentration_chain_endpoint(n_max: int, trials: int, seed: int) -> None:
         s1 = extremal.concentrate_transform(a, "negative")
         s2 = extremal.concentrate_transform(s1.transformed, "positive")
         f = cf.residue_functional(s2.transformed)
-        assert abs(f - 1.0 / math.sqrt(2.0 - K * K)) < 1e-10
+        _expect(abs(f - 1.0 / math.sqrt(2.0 - K * K)) < 1e-10)
 
 
 def _kdim_bounds(n: int, k: int, n_max: int, trials: int, seed: int) -> dict:
     rep = extremal.verify_kdim_bounds(n, k, trials, seed + 10 * n + k)
-    assert rep.witness_saturates, (n, k, rep.witness_value)
+    _expect(rep.witness_saturates, (n, k, rep.witness_value))
     return {
         "n": n,
         "k": k,
@@ -163,12 +170,12 @@ def _kdim_bounds(n: int, k: int, n_max: int, trials: int, seed: int) -> dict:
 
 
 def _ratio_limits(n_max: int, trials: int, seed: int) -> None:
-    assert abs(irregular.central_vs_face_ratio_limit(5) - 1.125) < 1e-15
-    assert abs(irregular.central_vs_face_ratio_limit(7) - 1.25) < 1e-15
-    assert abs(irregular.central_vs_face_ratio_limit(3) - 1.0) < 1e-15
+    _expect(abs(irregular.central_vs_face_ratio_limit(5) - 1.125) < 1e-15)
+    _expect(abs(irregular.central_vs_face_ratio_limit(7) - 1.25) < 1e-15)
+    _expect(abs(irregular.central_vs_face_ratio_limit(3) - 1.0) < 1e-15)
     for n in (5, 7):
         emp = irregular.extrapolated_degeneracy_ratio(n)
-        assert abs(emp - irregular.central_vs_face_ratio_limit(n)) < 1e-5
+        _expect(abs(emp - irregular.central_vs_face_ratio_limit(n)) < 1e-5)
 
 
 def _central_dominates_faces(n_max: int, trials: int, seed: int) -> dict:

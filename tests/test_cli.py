@@ -18,12 +18,12 @@ SCHEMA = json.loads(
 )
 
 
-def run_cli(*argv):
+def run_cli(*argv, python=("-m", "simplex_sections.cli")):
     # the child imports the same source tree as this process, installed or not
     path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
-        [sys.executable, "-m", "simplex_sections.cli", *argv],
+        [sys.executable, *python, *argv],
         capture_output=True,
         text=True,
         env=env,
@@ -310,6 +310,46 @@ def test_sweep_maxbound_checks_every_K_before_sampling(capsys, monkeypatch):
     assert out == "" and err == "numeric failure: OutOfRange: K=1.1 outside [0, 1]\n"
 
 
+def _no_grid(monkeypatch):
+    def grid(*args):
+        raise AssertionError("allocated a grid")
+
+    monkeypatch.setattr(np, "arange", grid)
+    monkeypatch.setattr(np, "linspace", grid)
+
+
+@pytest.mark.parametrize("grid", ["0:1:1e-300", "0:1:1e-9", "0:1:1e-6", "1:0:0.1"])
+def test_sweep_maxbound_rejects_K_grid_size_before_allocating(grid, capsys, monkeypatch):
+    # np.arange overflowed at 1e-300 and would ask for gigabytes at 1e-9;
+    # 1e-6 is one point past the cap, and 1:0 has no point
+    _no_sampling(monkeypatch)
+    _no_grid(monkeypatch)
+    with pytest.raises(SystemExit) as got:
+        cli.main(["sweep", "--maxbound", "--n", "4", "--K-grid", grid])
+    assert got.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    want = f"--K-grid {grid!r} must give 1 to MAX_GRID_POINTS = {cli.MAX_GRID_POINTS} points"
+    assert out == "" and want in err
+
+
+@pytest.mark.parametrize("grid", ["0", "-3", str(cli.MAX_GRID_POINTS + 1)])
+@pytest.mark.parametrize("kind", ["--frustum", "--ratio"])
+def test_sweep_grid_size_is_usage_error(kind, grid, capsys, monkeypatch):
+    # -3 was a np.linspace traceback and 0 an empty table
+    _no_grid(monkeypatch)
+    with pytest.raises(SystemExit) as got:
+        cli.main(["sweep", kind, f"--grid={grid}"])
+    assert got.value.code == cli.EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and f"--grid {grid} must give 1 to MAX_GRID_POINTS" in err
+
+
+def test_sweep_grid_of_one_point(capsys):
+    assert cli.main(["sweep", "--frustum", "--N", "3", "--grid", "1"]) == cli.EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "x,volume" and len(lines) == 2
+
+
 def _no_checks(monkeypatch):
     def check(*args):
         pytest.fail("ran a check")
@@ -391,6 +431,23 @@ def test_verify_extremal_reports_planted_floor_violation(tmp_path, monkeypatch, 
             if want is None and cli.cf.residue_volume(a).value < 1.01 * real(n) - 1e-10:
                 want = a.a.tolist()
     assert detail["witness"] == want
+
+
+def test_verify_fails_planted_constant_under_optimize(tmp_path):
+    # python -O strips assert statements; a check must fail there as well
+    plant = ("import sys\n"
+             "from simplex_sections import cli, closed_form as cf\n"
+             "real = cf.special_max_volume\n"
+             "cf.special_max_volume = lambda n: 2.0 * real(n)\n"
+             "sys.exit(cli.main())\n")
+    out = tmp_path / "report.json"
+    proc = run_cli("verify", "--suite", "formulas", "--n-max", "4", "--out", str(out),
+                   "--no-timestamp", python=("-O", "-c", plant))
+    assert proc.returncode == cli.EXIT_COUNTEREXAMPLE, proc.stdout + proc.stderr
+    assert "[formulas] closed_form_constants: FAIL" in proc.stdout.splitlines()
+    check = next(c for c in json.loads(out.read_text())["results"]
+                 if c["name"] == "closed_form_constants")
+    assert check["detail"]["error"].startswith("(2, ")  # the (n, got, want) message
 
 
 def test_verify_report_deterministic(tmp_path):

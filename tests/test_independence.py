@@ -5,6 +5,8 @@ The oracle and the quadrature may take the shared `Direction` and
 origin-distance helper that places its subspace), and nothing else; the
 residue module imports neither of them.  No method imports the harness
 that checks the methods against each other and against the paper's bounds.
+The Monte Carlo draw loop (`montecarlo`), which the oracle's slab and the
+quadrature's cone estimator share, imports no method and no harness module.
 """
 import ast
 from pathlib import Path
@@ -15,6 +17,7 @@ import simplex_sections
 
 PACKAGE = Path(simplex_sections.__file__).resolve().parent
 METHODS = ("closed_form", "oracle", "quadrature")
+HARNESS = ("extremal", "irregular", "verify", "cli")
 SHARED = {"Direction", "VolumeResult"}
 
 
@@ -63,4 +66,8 @@ def test_residue_imports_no_other_method():
 
 @pytest.mark.parametrize("module", METHODS)
 def test_methods_import_no_harness_module(module):
-    assert not {"extremal", "irregular", "verify", "cli"} & _imports(module).keys()
+    assert not set(HARNESS) & _imports(module).keys()
+
+
+def test_montecarlo_imports_no_method_or_harness_module():
+    assert not {*METHODS, *HARNESS} & _imports("montecarlo").keys()

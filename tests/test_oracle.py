@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from test_closed_form import _exact_residue_sum
 
 from simplex_sections import closed_form as cf
-from simplex_sections import extremal, irregular, linalg, oracle, subspaces
+from simplex_sections import extremal, irregular, linalg, montecarlo, oracle, subspaces
 from simplex_sections.errors import (
     DegeneratePolytope,
     EmptySection,
@@ -786,7 +786,7 @@ def _slab_reference(spec, b, eps, samples, seed):
     return p * factor, err * factor
 
 
-# samples = chunks * SLAB_CHUNK * 2(n+1) + extra: one point, one full chunk of
+# samples = chunks * CHUNK * 2(n+1) + extra: one point, one full chunk of
 # draws, one point into a second chunk, a count that is no multiple of 2(n+1),
 # and a last draw that stops one point short of, at and one point past the
 # reversal's shifts
@@ -808,7 +808,7 @@ def test_slab_matches_dirichlet_reference(spec, b, chunks, extra, eps):
     # at eps = 0.2 most points hit, so a wrong choice of points shows
     n = spec.n
     extra = {"n": n, "n+1": n + 1, "n+2": n + 2}.get(extra, extra)
-    samples = chunks * oracle.SLAB_CHUNK * 2 * (n + 1) + extra
+    samples = chunks * montecarlo.CHUNK * 2 * (n + 1) + extra
     want = _slab_reference(spec, b, eps, samples, 11)
     if want is None:
         with pytest.raises(ZeroHits):
@@ -930,8 +930,8 @@ def test_slab_rejects_non_integer_samples(samples):
         )
 
 
-@pytest.mark.parametrize("samples", [1, 3, 4, 6, 8, 9, 4 * oracle.SLAB_CHUNK + 3,
-                                     8 * oracle.SLAB_CHUNK + 3])
+@pytest.mark.parametrize("samples", [1, 3, 4, 6, 8, 9, 4 * montecarlo.CHUNK + 3,
+                                     8 * montecarlo.CHUNK + 3])
 def test_slab_counts_exactly_samples_points(samples):
     # eps = 1/2 puts the whole simplex in the slab of [1, 1, -1, -1] / 2, so
     # every point hits: the value is the simplex volume, and each draw's hit

@@ -14,7 +14,7 @@ import pytest
 from test_oracle import _degenerate_basis
 
 from simplex_sections import closed_form as cf
-from simplex_sections import extremal, oracle, quadrature, subspaces
+from simplex_sections import extremal, montecarlo, oracle, quadrature, subspaces
 from simplex_sections.errors import (
     EmptySection,
     NotSupported,
@@ -655,8 +655,8 @@ def _cone_reference_bases():
 # samples = draws * k + extra: one chunk of draws and one draw either side of
 # it, one point into a second chunk, and counts that are no multiple of k
 @pytest.mark.parametrize("draws, extra", [
-    (0, 1000), (quadrature.CONE_CHUNK - 1, 0), (quadrature.CONE_CHUNK, 0),
-    (quadrature.CONE_CHUNK, 1), (quadrature.CONE_CHUNK + 1, 0), (0, 100_000),
+    (0, 1000), (montecarlo.CHUNK - 1, 0), (montecarlo.CHUNK, 0),
+    (montecarlo.CHUNK, 1), (montecarlo.CHUNK + 1, 0), (0, 100_000),
 ])
 @pytest.mark.parametrize("case", [0, 1], ids=["n6-codim2", "n8-codim3"])
 def test_mc_cone_matches_dirichlet_reference(case, draws, extra):
@@ -674,8 +674,8 @@ def test_mc_cone_partial_draws_match_reference():
         _assert_matches_cone_reference(basis, samples, 11)
 
 
-@pytest.mark.parametrize("samples", [1000, 1001, 1003, 4 * quadrature.CONE_CHUNK - 1,
-                                     4 * quadrature.CONE_CHUNK + 1])
+@pytest.mark.parametrize("samples", [1000, 1001, 1003, 4 * montecarlo.CHUNK - 1,
+                                     4 * montecarlo.CHUNK + 1])
 def test_mc_cone_counts_exactly_samples_points(samples):
     # H = span{e0, ..., e3} meets the 6-simplex in the face of its first four
     # vertices (area sqrt(4)/3! = 1/3): G = 0, so every point hits with
@@ -765,7 +765,7 @@ def test_mc_cone_err_is_calibrated():
 
 @pytest.mark.parametrize("n, codim, mib", [(10, 2, 3.75), (12, 4, 5)])
 def test_mc_cone_memory_is_one_chunk(n, codim, mib):
-    # the draws, products, masks and weights live in buffers of CONE_CHUNK
+    # the draws, products, masks and weights live in buffers of CHUNK
     # draws allocated once, mu in the product's rows, not in (samples, k)
     # temporaries: peaks of 3.2 and 4.3 MiB (about 15% under the bounds),
     # where fresh arrays per chunk took 5.4 and 7.7 and one point per draw
